@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import intkit
 from .errors import DefectError, DiscriminantTooLarge
-from .quadfield import QuadraticField, unit_norm_sign
+from .quadfield import QuadInt, QuadraticField, qi_norm, unit_norm_sign
 
 DEFAULT_DISC_CEILING = 10**10
 
@@ -127,14 +127,16 @@ def narrow_class_number(disc: int, ceiling: int = DEFAULT_DISC_CEILING,
 
 
 def class_number(field: QuadraticField, ceiling: int = DEFAULT_DISC_CEILING,
-                 effort: int = intkit.DEFAULT_FACTOR_EFFORT) -> int:
+                 effort: int = intkit.DEFAULT_FACTOR_EFFORT,
+                 eps: QuadInt | None = None) -> int:
     """Wide class number h.
 
     h equals the narrow class number when the fundamental unit has norm -1
-    and half of it otherwise.
+    and half of it otherwise.  A caller holding the fundamental unit
+    passes it as ``eps``.
     """
     h_plus = narrow_class_number(field.disc, ceiling, effort)
-    if unit_norm_sign(field) == -1:
+    if (unit_norm_sign(field) if eps is None else qi_norm(eps)) == -1:
         return h_plus
     if h_plus % 2:
         raise DefectError("narrow class number must be even for norm +1")

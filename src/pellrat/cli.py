@@ -1,9 +1,8 @@
 """Command-line surface: single-cell reports, grid scans, Pell helpers.
 
-Scan output is a deterministic function of the grid: rows are sorted by
-(p, r, m) whatever the worker count, data rows carry no timestamps, and
-run metadata lives on a single '#' comment line (CSV only).  The factor
-cache is the one piece of shared state and serializes its appends.
+Scan output is a deterministic function of the grid: one serial loop
+writes the rows in (p, r, m) order, data rows carry no timestamps, and
+run metadata lives on a single '#' comment line (CSV only).
 
 Exit codes: 0 success, 1 usage or validation, 2 factorization incomplete
 in single-cell mode, 3 precision exhausted in single-cell mode, 4 output
@@ -14,17 +13,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import os
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, fields
 
 from . import classno, intkit, invariants, padic, pellseq
 from .errors import (DefectError, IncompleteFactorization, PrecisionExhausted,
                      ToolkitError)
-from .quadfield import (construct_family, fundamental_unit, m_bound,
-                        m_bound_satisfied, unit_index, unit_norm_sign)
+# fundamental_unit is unused since the field context owns eps; bench/spans.py traces it here
+from .quadfield import (construct_family, fundamental_unit,  # noqa: F401
+                        m_bound_floor, m_bound_satisfied)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,25 +42,29 @@ class PipelineOptions:
 class FactorCache:
     """Plain-text factorization cache: one line per entry, `N p1^e1 p2^e2`.
 
-    Loaded whole at construction; appends are serialized and flushed line
-    by line so a crashed scan leaves a valid file.  Only complete
-    factorizations are stored.  Invalid lines fail loudly: a cache that
-    lies is worse than no cache.
+    Loaded whole at construction; appends are flushed line by line.  A
+    crash can leave only the last line unterminated: loading drops that
+    tail and truncates the file to its last newline.  Only complete
+    factorizations are stored.  Invalid complete lines fail loudly: a
+    cache that lies is worse than no cache.
     """
 
     def __init__(self, path: str | None):
         self.path = path
-        self._lock = threading.Lock()
         self._table: dict[int, intkit.Factorization] = {}
-        if path is not None:
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if line:
-                            self._load_line(line)
-            except FileNotFoundError:
-                pass
+        if path is None:
+            return
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            return
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            os.truncate(path, end)
+        for line in data[:end].decode("utf-8").splitlines():
+            if line.strip():
+                self._load_line(line)
 
     def _load_line(self, line: str):
         parts = line.split()
@@ -81,19 +84,15 @@ class FactorCache:
             value=value, factors=tuple(pairs), complete=True)
 
     def get(self, n: int) -> intkit.Factorization | None:
-        with self._lock:
-            return self._table.get(n)
+        return self._table.get(n)
 
     def put(self, f: intkit.Factorization):
-        if not f.complete:
+        if not f.complete or f.value in self._table:
             return
-        with self._lock:
-            if f.value in self._table:
-                return
-            self._table[f.value] = f
-            if self.path is not None:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(f.format_line() + "\n")
+        self._table[f.value] = f
+        if self.path is not None:
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write(f.format_line() + "\n")
 
     def factor(self, n: int, effort: int) -> intkit.Factorization:
         hit = self.get(n)
@@ -108,28 +107,30 @@ class FactorCache:
 # scan records
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScanRecord:
+    """One table row; the defaults are the values of a row without a field."""
+
     p: int
     r: int
     m: int
     N: int
-    b: int | None
-    D: int | None
-    disc: int | None
-    unit: tuple[int, int, int] | None  # (u, v, den)
-    unit_norm: int | None
-    t_is_fundamental: bool | None
-    splits: bool | None
-    n2: int | None
-    n1_is_one: str
-    class_number: int | None
-    h_val_p: int | None
+    b: int | None = None
+    D: int | None = None
+    disc: int | None = None
+    unit: tuple[int, int, int] | None = None  # (u, v, den)
+    unit_norm: int | None = None
+    t_is_fundamental: bool | None = None
+    splits: bool | None = None
+    n2: int | None = None
+    n1_is_one: str = invariants.N1_UNKNOWN
+    class_number: int | None = None
+    h_val_p: int | None = None
     wieferich: bool
     m_bound_ok: bool
-    p_rational: str
-    greenberg: str
-    an_prediction: int | None
+    p_rational: str = invariants.INCONCLUSIVE
+    greenberg: str = invariants.INCONCLUSIVE
+    an_prediction: int | None = None
     notes: tuple[str, ...]
 
 
@@ -137,6 +138,13 @@ FIELD_NAMES = tuple(f.name for f in fields(ScanRecord))
 
 # columns rendered as arbitrary-precision decimal strings in JSON
 _BIG_FIELDS = {"N", "b", "D", "disc", "class_number", "an_prediction"}
+
+
+def null_record(p: int, r: int, m: int, note: str) -> ScanRecord:
+    """The row of a cell whose field could not be built."""
+    return ScanRecord(p=p, r=r, m=m, N=m * m * p ** (2 * r) + 1,
+                      wieferich=intkit.is_wieferich(p),
+                      m_bound_ok=m_bound_satisfied(p, r, m), notes=(note,))
 
 
 def compute_record(p: int, r: int, m: int, opts: PipelineOptions,
@@ -147,14 +155,6 @@ def compute_record(p: int, r: int, m: int, opts: PipelineOptions,
     failures propagate for the exit-code contract; otherwise they become
     null fields plus an explanatory note.
     """
-    n = m * m * p ** (2 * r) + 1
-    base = dict(p=p, r=r, m=m, N=n, b=None, D=None, disc=None, unit=None,
-                unit_norm=None, t_is_fundamental=None, splits=None, n2=None,
-                n1_is_one=invariants.N1_UNKNOWN, class_number=None,
-                h_val_p=None, wieferich=intkit.is_wieferich(p),
-                m_bound_ok=m_bound_satisfied(p, r, m),
-                p_rational=invariants.INCONCLUSIVE,
-                greenberg=invariants.INCONCLUSIVE, an_prediction=None)
     try:
         fam = construct_family(
             p, r, m, opts.factor_effort,
@@ -162,20 +162,18 @@ def compute_record(p: int, r: int, m: int, opts: PipelineOptions,
     except IncompleteFactorization:
         if strict:
             raise
-        return ScanRecord(**base, notes=("factorization incomplete",))
-    report, notes = invariants.build_report(
-        fam, opts.classno_ceiling, opts.precision_cap, strict=strict)
-    eps = fundamental_unit(fam.field)
-    sign, k = unit_index(fam.t, eps)
-    base.update(
-        b=fam.b, D=fam.d, disc=fam.field.disc, unit=(eps.u, eps.v, eps.den),
-        unit_norm=unit_norm_sign(fam.field),
-        t_is_fundamental=(sign == 1 and k == 1),
-        splits=intkit.jacobi(fam.d, p) == 1, n2=report.n2,
-        n1_is_one=report.n1_is_one, class_number=report.class_number,
-        h_val_p=report.h_val_p, p_rational=report.p_rational_verdict,
-        greenberg=report.greenberg_verdict, an_prediction=report.an_prediction)
-    return ScanRecord(**base, notes=tuple(notes))
+        return null_record(p, r, m, "factorization incomplete")
+    ctx = invariants.field_context(fam, opts.classno_ceiling, opts.precision_cap, strict)
+    report, notes = invariants.build_report(ctx, strict=strict)
+    eps = ctx.eps
+    return ScanRecord(
+        p=p, r=r, m=m, N=fam.n, b=fam.b, D=fam.d, disc=fam.field.disc,
+        unit=(eps.u, eps.v, eps.den), unit_norm=ctx.unit_norm,
+        t_is_fundamental=ctx.t_index == (1, 1), splits=intkit.jacobi(fam.d, p) == 1,
+        n2=report.n2, n1_is_one=report.n1_is_one, class_number=report.class_number,
+        h_val_p=report.h_val_p, wieferich=report.wieferich, m_bound_ok=ctx.m_bound_ok,
+        p_rational=report.p_rational_verdict, greenberg=report.greenberg_verdict,
+        an_prediction=report.an_prediction, notes=tuple(notes))
 
 
 def _csv_cell(name: str, value) -> str:
@@ -296,8 +294,7 @@ def _m_values(policy: str, p: int, r: int) -> list[int]:
     if policy == "one":
         return [1]
     if policy == "bound":
-        top = math.floor(m_bound(p, r))
-        return [m for m in range(1, top + 1) if m % p != 0]
+        return [m for m in range(1, m_bound_floor(p, r) + 1) if m % p != 0]
     m = int(policy)
     return [m] if m % p != 0 else []
 
@@ -327,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", required=True, help="comma-separated odd primes")
     sp.add_argument("--r", required=True, help="single value or a..b inclusive")
     sp.add_argument("--m", default="one", help="'one', 'bound', or an explicit integer")
-    sp.add_argument("--jobs", type=int, default=1)
     pipeline_flags(sp)
 
     gp = sub.add_parser("gseq", help="Pell sequence helpers")
@@ -399,52 +395,31 @@ def cmd_scan(args) -> int:
             return _usage(f"--m must be 'one', 'bound', or an integer, got {policy!r}")
         if m_fixed < 1:
             return _usage(f"--m must be >= 1, got {m_fixed}")
-    if args.jobs < 1:
-        return _usage(f"--jobs must be >= 1, got {args.jobs}")
     opts = _options_from(args)
     cache = FactorCache(args.cache)
 
-    cells = [(p, r, m) for p in ps for r in rs for m in _m_values(policy, p, r)]
+    # ps is sorted and rs and the m values ascend: rows come out in (p, r, m) order
+    records = []
+    for p in ps:
+        for r in rs:
+            for m in _m_values(policy, p, r):
+                try:
+                    records.append(compute_record(p, r, m, opts, cache))
+                except DefectError:
+                    raise
+                except ToolkitError as exc:
+                    note = f"{type(exc).__name__}: {exc}".replace(",", ";")
+                    records.append(null_record(p, r, m, note))
 
-    def run_cell(cell):
-        p, r, m = cell
-        try:
-            return compute_record(p, r, m, opts, cache, strict=False)
-        except ToolkitError as exc:
-            if isinstance(exc, DefectError):
-                raise
-            n = m * m * p ** (2 * r) + 1
-            return ScanRecord(
-                p=p, r=r, m=m, N=n, b=None, D=None, disc=None, unit=None,
-                unit_norm=None, t_is_fundamental=None, splits=None, n2=None,
-                n1_is_one=invariants.N1_UNKNOWN, class_number=None,
-                h_val_p=None, wieferich=intkit.is_wieferich(p),
-                m_bound_ok=m_bound_satisfied(p, r, m),
-                p_rational=invariants.INCONCLUSIVE,
-                greenberg=invariants.INCONCLUSIVE, an_prediction=None,
-                notes=(f"{type(exc).__name__}: {exc}".replace(",", ";"),))
-
-    if args.jobs == 1:
-        records = [run_cell(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(run_cell, cells))
-    records.sort(key=lambda rec: (rec.p, rec.r, rec.m))
-
-    fmt = args.format or "csv"
-    if fmt == "csv":
-        meta = f"pellrat scan p={args.p} r={args.r} m={policy}"
-        text = render_csv(records, meta)
-    else:
+    if args.format == "json":
         text = render_json(records)
+    else:
+        text = render_csv(records, f"pellrat scan p={args.p} r={args.r} m={policy}")
     code = _write_output(text, args.out)
     if code != EXIT_OK:
         return code
 
-    verdicts: dict[str, int] = {}
-    for rec in records:
-        verdicts[rec.p_rational] = verdicts.get(rec.p_rational, 0) + 1
-        verdicts[rec.greenberg] = verdicts.get(rec.greenberg, 0) + 1
+    verdicts = Counter(v for rec in records for v in (rec.p_rational, rec.greenberg))
     failed = sum(1 for rec in records if rec.D is None)
     summary = " ".join(f"{k}={v}" for k, v in sorted(verdicts.items()))
     print(f"scanned {len(records)} cells: {summary} row-failures={failed}",
@@ -468,22 +443,22 @@ def cmd_gseq(args) -> int:
     if n_max < 1:
         return _usage(f"--max must be >= 1, got {n_max}")
     hits = pellseq.prime_power_search(p, n_max)
-    if not hits:
-        print("no solutions")
-    else:
-        for n, e in hits:
-            print(f"HIT: G_{n} = {p}^{e}")
+    print("\n".join(f"HIT: G_{n} = {p}^{e}" for n, e in hits) or "no solutions")
     return EXIT_OK
 
 
 def entrypoint(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "field":
-        return cmd_field(args)
-    if args.command == "scan":
-        return cmd_scan(args)
-    return cmd_gseq(args)
+    # G_n and deep rows outgrow the 4300-digit int-to-str limit of Python 3.11+
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return {"field": cmd_field, "scan": cmd_scan, "gseq": cmd_gseq}[args.command](args)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -86,15 +86,6 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def modpow(base: int, exp: int, modulus: int) -> int:
-    """pow() with the canonical representative in [0, modulus)."""
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    if exp < 0:
-        raise ValueError("negative exponent; invert explicitly instead")
-    return pow(base, exp, modulus)
-
-
 def valuation(n: int, p: int) -> int:
     """Largest e with p**e dividing n (n != 0)."""
     if n == 0:

@@ -43,22 +43,10 @@ def epsilon_congruence_check(fam: FamilyField, eps: QuadInt | None = None) -> bo
     return ok
 
 
-def _capped_embedding(fam: FamilyField, cap: int) -> padic.SplitPrimeEmbedding:
-    # start at the usual working precision, but never above the cap: the
-    # cap promises no computation at higher precision, period
-    k = min(max(8, 2 * fam.r + 2), cap)
-    return padic.family_embedding(fam, k=k)
-
-
 def n2_of(fam: FamilyField, cap: int = padic.DEFAULT_PRECISION_CAP) -> int:
     """Residue order of the fundamental unit: v(eps**(p-1) - 1) at the
     family prime.  For m = 1 and d != 2 this must equal r."""
-    eps = fundamental_unit(fam.field)
-    emb = _capped_embedding(fam, cap)
-    n2 = padic.unit_congruence_order(eps, emb, cap)
-    if fam.m == 1 and fam.d != 2 and n2 != fam.r:
-        raise DefectError(f"n2 = {n2} != r = {fam.r} at (p={fam.p}, r={fam.r}, m=1)")
-    return n2
+    return field_context(fam, cap=cap, strict=True, compute_h=False).n2
 
 
 def lemma_n1_congruence(fam: FamilyField) -> bool:
@@ -93,14 +81,16 @@ def n1_certificate(fam: FamilyField, h: int,
         raise ValueError("class number must be >= 1")
     if h % fam.p == 0:
         return N1_UNKNOWN
-    emb = _capped_embedding(fam, cap)
-    eps = fundamental_unit(fam.field)
-    eps_order = padic.unit_congruence_order(eps, emb, cap)
-    gen = element(fam.field, 1, fam.b)
-    gen_order = padic.congruence_order(gen, emb, cap)
-    if eps_order >= 2 and gen_order == 1:
+    return _n1_route(field_context(fam, cap=cap, strict=True, h=h))
+
+
+def _n1_route(ctx: FieldContext) -> str:
+    # the proof route of n1_certificate once p does not divide h
+    fam = ctx.family
+    gen_order = padic.congruence_order(element(fam.field, 1, fam.b), ctx.embedding, ctx.cap)
+    if ctx.n2 >= 2 and gen_order == 1:
         return N1_CERTIFIED
-    if eps_order >= 2 and gen_order >= 2:
+    if ctx.n2 >= 2 and gen_order >= 2:
         return N1_REFUTED
     return N1_UNKNOWN
 
@@ -138,7 +128,7 @@ def fib_unit_equivalence(t: QuadInt, p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# torsion ledger and verdicts
+# torsion ledger
 
 
 @dataclass(frozen=True)
@@ -183,7 +173,11 @@ def coates_ledger(field: QuadraticField, p: int, h: int | None = None,
         raise DefectError("split prime divides the discriminant")
     if eps is None:
         eps = fundamental_unit(field)
-    regulator = 2 if padic.power_is_one_mod(eps, p - 1, p * p) else 1
+    return _ledger(p, h, padic.power_is_one_mod(eps, p - 1, p * p))
+
+
+def _ledger(p: int, h: int | None, unit_congruence: bool) -> CoatesLedger:
+    regulator = 2 if unit_congruence else 1
     h_val = intkit.valuation(h, p) if h else 0
     entries = (
         LedgerEntry("roots of unity", 1),
@@ -193,58 +187,6 @@ def coates_ledger(field: QuadraticField, p: int, h: int | None = None,
         LedgerEntry("discriminant", 0),
     )
     return CoatesLedger(p=p, entries=entries)
-
-
-def p_rationality_verdict(p: int, r: int, m: int, h: int | None = None,
-                          effort: int = intkit.DEFAULT_FACTOR_EFFORT) -> str:
-    """non-p-rational iff the torsion lower bound is >= 1.
-
-    Inside the coefficient bound the verdict is guaranteed, so computing
-    inconclusive there raises DefectError.
-    """
-    fam = construct_family(p, r, m, effort)
-    ledger = coates_ledger(fam.field, p, h)
-    verdict = NON_P_RATIONAL if ledger.torsion_lower_bound >= 1 else INCONCLUSIVE
-    if verdict != NON_P_RATIONAL and m_bound_satisfied(p, r, m):
-        raise DefectError(
-            f"verdict inconclusive inside the bound at (p={p}, r={r}, m={m})")
-    return verdict
-
-
-@dataclass(frozen=True)
-class GreenbergResult:
-    verdict: str
-    an_prediction: int | None
-    reason: str | None
-
-
-def greenberg_verdict(p: int, r: int, h: int | None = None,
-                      effort: int = intkit.DEFAULT_FACTOR_EFFORT,
-                      classno_ceiling: int = classno.DEFAULT_DISC_CEILING,
-                      cap: int = padic.DEFAULT_PRECISION_CAP) -> GreenbergResult:
-    """mu-lambda-zero for the m = 1 field when the whole certificate chain
-    holds: p not Wieferich, class number computed with p not dividing it,
-    and the n1 certificate route succeeding.  The prediction is the
-    stabilized |A_n| value p**(n2 - 1).
-
-    ``h`` injects a class number (used to exercise branches); by default it
-    is computed, and a ceiling overflow yields an inconclusive verdict.
-    """
-    if intkit.is_wieferich(p):
-        return GreenbergResult(INCONCLUSIVE, None, "Wieferich prime")
-    fam = construct_family(p, r, 1, effort)
-    if h is None:
-        try:
-            h = classno.class_number(fam.field, classno_ceiling)
-        except DiscriminantTooLarge:
-            return GreenbergResult(INCONCLUSIVE, None, "class number uncomputed")
-    if h % p == 0:
-        return GreenbergResult(INCONCLUSIVE, None, "p divides class number")
-    cert = n1_certificate(fam, h, cap)
-    if cert != N1_CERTIFIED:
-        return GreenbergResult(INCONCLUSIVE, None, f"n1 certificate {cert}")
-    n2 = n2_of(fam, cap)
-    return GreenbergResult(MU_LAMBDA_ZERO, p ** (n2 - 1), None)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +232,7 @@ def distinct_fields_scan(p: int, r_max: int,
 
 
 # ---------------------------------------------------------------------------
-# assembled report for one family field
+# one family field: its context, the verdict path, and wrappers over it
 
 
 @dataclass(frozen=True)
@@ -323,41 +265,91 @@ class InvariantReport:
             raise DefectError("prediction present without a verdict")
 
 
-def build_report(fam: FamilyField,
+@dataclass(frozen=True)
+class FieldContext:
+    """The per-field quantities both verdicts read, each computed once.
+
+    ``n2`` is eps's congruence order along the capped family ``embedding``,
+    None when the precision cap ran out; ``h_missing`` says why h is None.
+    """
+
+    family: FamilyField
+    eps: QuadInt
+    unit_norm: int
+    t_index: tuple[int, int]  # (sign, k) with t == sign * eps**k
+    m_bound_ok: bool
+    cap: int
+    embedding: padic.SplitPrimeEmbedding
+    n2: int | None
+    class_number: int | None
+    h_missing: str | None
+
+
+def field_context(fam: FamilyField,
+                  classno_ceiling: int = classno.DEFAULT_DISC_CEILING,
+                  cap: int = padic.DEFAULT_PRECISION_CAP,
+                  strict: bool = False, h: int | None = None,
+                  compute_h: bool = True) -> FieldContext:
+    """Compute the context of one family field.
+
+    A class number passed as ``h`` is used as given.  Otherwise it is
+    computed up to ``classno_ceiling``, or not at all when ``compute_h`` is
+    unset.  With ``strict`` set, precision exhaustion propagates instead of
+    leaving ``n2`` empty.
+    """
+    eps = fundamental_unit(fam.field)
+    # start at the usual working precision, but never above the cap: the
+    # cap promises no computation at higher precision, period
+    emb = padic.family_embedding(fam, k=min(max(8, 2 * fam.r + 2), cap))
+    n2: int | None
+    try:
+        n2 = padic.unit_congruence_order(eps, emb, cap)
+    except PrecisionExhausted:
+        if strict:
+            raise
+        n2 = None
+    if fam.m == 1 and fam.d != 2 and n2 not in (None, fam.r):
+        raise DefectError(f"n2 = {n2} != r = {fam.r} at (p={fam.p}, r={fam.r}, m=1)")
+    h_missing = None
+    if h is None and not compute_h:
+        h_missing = "class number not computed"
+    elif h is None:
+        try:
+            h = classno.class_number(fam.field, classno_ceiling, eps=eps)
+        except DiscriminantTooLarge:
+            h_missing = "class number ceiling"
+    return FieldContext(
+        family=fam, eps=eps, unit_norm=qi_norm(eps), t_index=unit_index(fam.t, eps),
+        m_bound_ok=m_bound_satisfied(fam.p, fam.r, fam.m), cap=cap, embedding=emb,
+        n2=n2, class_number=h, h_missing=h_missing)
+
+
+def build_report(ctx: FieldContext | FamilyField,
                  classno_ceiling: int = classno.DEFAULT_DISC_CEILING,
                  cap: int = padic.DEFAULT_PRECISION_CAP,
                  strict: bool = False) -> tuple[InvariantReport, list[str]]:
     """Full invariant report plus notes explaining every missing value.
 
-    With ``strict`` set, precision exhaustion propagates instead of being
+    The one place that decides the certificate chain, the defect gates
+    inside the coefficient bound and both verdicts.  A bare FamilyField
+    gets its context here, from the ceiling, the cap and ``strict``.  With
+    ``strict`` set, precision exhaustion propagates instead of being
     recorded as a note (single-cell callers want the exit code).
     """
-    notes: list[str] = []
-    p = fam.p
+    if isinstance(ctx, FamilyField):
+        ctx = field_context(ctx, classno_ceiling, cap, strict)
+    fam, p, h, n2 = ctx.family, ctx.family.p, ctx.class_number, ctx.n2
+    notes = ["precision exhausted"] if n2 is None else []
+    if ctx.h_missing is not None:
+        notes.append(ctx.h_missing)
     wief = intkit.is_wieferich(p)
-    eps = fundamental_unit(fam.field)
-
-    n2: int | None
-    try:
-        n2 = n2_of(fam, cap)
-    except PrecisionExhausted:
-        if strict:
-            raise
-        n2 = None
-        notes.append("precision exhausted")
-
-    h: int | None
-    try:
-        h = classno.class_number(fam.field, classno_ceiling)
-    except DiscriminantTooLarge:
-        h = None
-        notes.append("class number ceiling")
     h_val = intkit.valuation(h, p) if h is not None else None
 
-    ledger = coates_ledger(fam.field, p, h, eps)
-    epsilon_congruence_check(fam, eps)  # defect gate inside the bound
+    # the unit congruence feeds the regulator entry; its check is the
+    # defect gate inside the bound
+    ledger = _ledger(p, h, epsilon_congruence_check(fam, ctx.eps))
     p_rational = NON_P_RATIONAL if ledger.torsion_lower_bound >= 1 else INCONCLUSIVE
-    if p_rational != NON_P_RATIONAL and m_bound_satisfied(p, fam.r, fam.m):
+    if p_rational != NON_P_RATIONAL and ctx.m_bound_ok:
         raise DefectError(
             f"verdict inconclusive inside the bound at (p={p}, r={fam.r}, m={fam.m})")
 
@@ -373,21 +365,21 @@ def build_report(fam: FamilyField,
         reason = "class number uncomputed"
     elif h % p == 0:
         reason = "p divides class number"
+    elif n2 is None:
+        reason = "precision exhausted"
     else:
         try:
-            n1 = n1_certificate(fam, h, cap)
+            n1 = _n1_route(ctx)
         except PrecisionExhausted:
             if strict:
                 raise
-        if n1 == N1_CERTIFIED and n2 is not None:
+        if n1 == N1_CERTIFIED:
             greenberg = MU_LAMBDA_ZERO
             prediction = p ** (n2 - 1)
             reason = None
-        elif n2 is None:
-            reason = "precision exhausted"
         else:
             reason = f"n1 certificate {n1}"
-    if greenberg == INCONCLUSIVE and reason is not None:
+    if reason is not None:
         notes.append(f"greenberg inconclusive: {reason}")
 
     report = InvariantReport(
@@ -396,3 +388,39 @@ def build_report(fam: FamilyField,
         greenberg_verdict=greenberg, greenberg_reason=reason,
         an_prediction=prediction)
     return report, notes
+
+
+def p_rationality_verdict(p: int, r: int, m: int, h: int | None = None,
+                          effort: int = intkit.DEFAULT_FACTOR_EFFORT) -> str:
+    """build_report's p-rationality verdict, with the class number ``h``
+    as given: without it the ledger counts it as 0, and none is computed."""
+    fam = construct_family(p, r, m, effort)
+    report, _ = build_report(field_context(fam, h=h, compute_h=False))
+    return report.p_rational_verdict
+
+
+@dataclass(frozen=True)
+class GreenbergResult:
+    verdict: str
+    an_prediction: int | None
+    reason: str | None
+
+
+def greenberg_verdict(p: int, r: int, h: int | None = None,
+                      effort: int = intkit.DEFAULT_FACTOR_EFFORT,
+                      classno_ceiling: int = classno.DEFAULT_DISC_CEILING,
+                      cap: int = padic.DEFAULT_PRECISION_CAP) -> GreenbergResult:
+    """build_report's mu-lambda-zero verdict for the m = 1 field, with the
+    |A_n| prediction p**(n2 - 1) or the reason it is inconclusive.
+
+    ``h`` injects a class number; by default it is computed up to the
+    ceiling.  A Wieferich p ends the chain whatever the field, so it is
+    answered before a radicand that may not even factor is built.
+    """
+    if intkit.is_wieferich(p):
+        return GreenbergResult(INCONCLUSIVE, None, "Wieferich prime")
+    fam = construct_family(p, r, 1, effort)
+    ctx = field_context(fam, classno_ceiling, cap, strict=True, h=h)
+    report, _ = build_report(ctx, strict=True)
+    return GreenbergResult(report.greenberg_verdict, report.an_prediction,
+                           report.greenberg_reason)

@@ -42,10 +42,6 @@ class QuadraticField:
     def disc(self) -> int:
         return self.d if self.d % 4 == 1 else 4 * self.d
 
-    @property
-    def ring_kind(self) -> str:
-        return "half-integral" if self.d % 4 == 1 else "integral"
-
 
 @dataclass(frozen=True)
 class QuadInt:
@@ -154,10 +150,6 @@ def element(field: QuadraticField, u: int, v: int, den: int = 1) -> QuadInt:
 
 def one(field: QuadraticField) -> QuadInt:
     return QuadInt(1, 0, 1, field)
-
-
-def qi_mul(x: QuadInt, y: QuadInt) -> QuadInt:
-    return x * y
 
 
 def qi_norm(x: QuadInt) -> int:
@@ -288,19 +280,30 @@ class FamilyField:
         return self.field.d
 
 
+def _m_bound_parts(p: int, r: int) -> tuple[int, int]:
+    if r < 2:
+        raise ValueError("r must be >= 2")
+    q = p ** (r - 1)
+    return (1 + math.comb(q, 2)) * p ** (q - r), q
+
+
 def m_bound(p: int, r: int) -> Fraction:
     """Exact rational coefficient bound for the multiplier m.
 
     (1 + binomial(q, 2)) * p**(q - r) / 2**q with q = p**(r-1).
     """
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    q = p ** (r - 1)
-    return Fraction((1 + math.comb(q, 2)) * p ** (q - r), 2**q)
+    num, q = _m_bound_parts(p, r)
+    return Fraction(num, 2**q)
+
+
+def m_bound_floor(p: int, r: int) -> int:
+    """floor(m_bound(p, r)) as a shift; the Fraction's gcd takes seconds past q ~ 1e5."""
+    num, q = _m_bound_parts(p, r)
+    return num >> q
 
 
 def m_bound_satisfied(p: int, r: int, m: int) -> bool:
-    return Fraction(m) <= m_bound(p, r)
+    return m <= m_bound_floor(p, r)
 
 
 def construct_family(p: int, r: int, m: int = 1,

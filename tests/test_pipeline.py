@@ -1,0 +1,153 @@
+"""One context per family field, and the outputs and regressions around it.
+
+The golden files under tests/data/ are scan tables and a field report
+captured before the verdict logic moved behind `invariants.field_context`;
+they must stay byte-identical.
+"""
+
+import contextlib
+import math
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from oracles import slow_pell
+
+from pellrat import classno, cli, invariants, padic
+from pellrat import quadfield as qf
+from pellrat.errors import DefectError
+
+DATA = Path(__file__).parent / "data"
+
+
+def run(capsys, *argv):
+    code = cli.entrypoint(list(argv))
+    return code, capsys.readouterr().out
+
+
+def count_calls(monkeypatch, *fns):
+    """Count calls of each function through every binding in every pellrat module."""
+    counts = {fn.__name__: 0 for fn in fns}
+    modules = [mod for name, mod in sys.modules.items()
+               if name == "pellrat" or name.startswith("pellrat.")]
+    for fn in fns:
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield limit
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_one_record_computes_each_field_quantity_once(monkeypatch):
+    counts = count_calls(monkeypatch, qf.fundamental_unit, padic.family_embedding,
+                         padic.unit_congruence_order, padic.power_is_one_mod)
+    rec = cli.compute_record(3, 2, 1, cli.PipelineOptions(), cli.FactorCache(None))
+    assert rec.greenberg == invariants.MU_LAMBDA_ZERO
+    assert counts["fundamental_unit"] == 1
+    assert all(n <= 1 for n in counts.values()), counts
+
+
+def test_field_context_holds_the_field_quantities():
+    fam = qf.construct_family(3, 2)
+    ctx = invariants.field_context(fam)
+    assert (ctx.eps.u, ctx.eps.v, ctx.eps.den) == (9, 1, 1)
+    assert (ctx.unit_norm, ctx.t_index, ctx.m_bound_ok) == (-1, (1, 1), True)
+    assert (ctx.n2, ctx.class_number, ctx.h_missing) == (2, 4, None)
+    assert ctx.embedding.k == 8  # the working precision, under the default cap
+    assert invariants.field_context(fam, h=7).class_number == 7
+    skipped = invariants.field_context(fam, compute_h=False)
+    assert skipped.class_number is None and skipped.h_missing
+    capped = invariants.field_context(fam, classno_ceiling=10)
+    assert capped.h_missing == "class number ceiling"
+
+
+def test_wrappers_compute_no_class_number(monkeypatch):
+    counts = count_calls(monkeypatch, classno.class_number)
+    assert invariants.p_rationality_verdict(3, 2, 1) == invariants.NON_P_RATIONAL
+    res = invariants.greenberg_verdict(3, 2, h=4)
+    assert (res.verdict, res.an_prediction) == (invariants.MU_LAMBDA_ZERO, 3)
+    assert counts["class_number"] == 0
+
+
+def test_defect_gate_fires_inside_the_bound_only(monkeypatch):
+    def never_one(*args, **kwargs):
+        return False
+    monkeypatch.setattr(padic, "power_is_one_mod", never_one)
+    with pytest.raises(DefectError):
+        invariants.build_report(qf.construct_family(3, 2, 1))
+    report, _ = invariants.build_report(qf.construct_family(3, 2, 2))
+    assert report.p_rational_verdict == invariants.INCONCLUSIVE
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("scan", "--p", "3,5,7", "--r", "2..5", "--m", "one"), "scan_p357_r2-5_one.csv"),
+    (("scan", "--p", "3,5,7", "--r", "2..5", "--m", "one", "--format", "json"),
+     "scan_p357_r2-5_one.json"),
+    (("scan", "--p", "3", "--r", "3", "--m", "bound"), "scan_p3_r3_bound.csv"),
+    (("field", "--p", "3", "--r", "2"), "field_p3_r2.txt"),
+])
+def test_golden_output(capsys, argv, golden):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("p, r", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2),
+                                  (7, 3), (11, 2), (13, 3)])
+def test_m_bound_floor_matches_the_fraction(p, r):
+    bound = qf.m_bound(p, r)
+    top = qf.m_bound_floor(p, r)
+    assert top == math.floor(bound)
+    for m in (top - 1, top, top + 1):
+        assert qf.m_bound_satisfied(p, r, m) == (Fraction(m) <= bound)
+
+
+def test_m_bound_satisfied_is_fast_at_depth():
+    t0 = time.perf_counter()
+    assert qf.m_bound_satisfied(7, 8, 1)
+    assert time.perf_counter() - t0 <= 1.5
+
+
+def test_gseq_pair_prints_past_the_digit_limit(capsys):
+    with no_digit_limit() as limit:
+        g, f = slow_pell(12000)
+        want = f"G={g} F={f}\n"
+    code, out = run(capsys, "gseq", "pair", "12000")
+    assert code == 0
+    assert out == want
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
+def test_truncated_cache_tail_is_dropped(capsys, tmp_path):
+    path = tmp_path / "cache.txt"
+    path.write_text("82 2^1 41^1\n730 2^1 5^1 7")  # a crash cut the last line short
+    code, out = run(capsys, "scan", "--p", "3", "--r", "2..3", "--cache", str(path))
+    assert code == 0
+    assert out == run(capsys, "scan", "--p", "3", "--r", "2..3")[1]
+    assert path.read_text() == "82 2^1 41^1\n730 2^1 5^1 73^1\n"
+    assert cli.FactorCache(str(path)).get(730).factors == ((2, 1), (5, 1), (73, 1))
+
+
+def test_truncated_cache_still_rejects_complete_bad_lines(tmp_path):
+    path = tmp_path / "cache.txt"
+    path.write_text("12 2^2 5^1\n82 2")
+    with pytest.raises(ValueError):
+        cli.FactorCache(str(path))
