@@ -12,6 +12,8 @@ I/O failure.  Scans exit 0 on per-row failures; the rows carry notes.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -188,10 +190,6 @@ def _csv_cell(name: str, value) -> str:
     return str(value)
 
 
-def record_to_csv_row(rec: ScanRecord) -> str:
-    return ",".join(_csv_cell(name, getattr(rec, name)) for name in FIELD_NAMES)
-
-
 def record_to_json_obj(rec: ScanRecord) -> dict:
     obj = {}
     for name in FIELD_NAMES:
@@ -208,10 +206,20 @@ def record_to_json_obj(rec: ScanRecord) -> dict:
     return obj
 
 
-def render_csv(records: list[ScanRecord], meta: str) -> str:
-    lines = [f"# {meta}", ",".join(FIELD_NAMES)]
-    lines.extend(record_to_csv_row(rec) for rec in records)
-    return "\n".join(lines) + "\n"
+def render_csv(records: list[ScanRecord], meta: str | None = None) -> str:
+    """A header row and one row per record; ``meta`` becomes a leading '#' line.
+
+    The '#' line is written as is, not as a CSV row: it echoes arguments
+    such as ``--p 3,5,7`` that the writer would quote.
+    """
+    buf = io.StringIO()
+    if meta is not None:
+        buf.write(f"# {meta}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(FIELD_NAMES)
+    writer.writerows([_csv_cell(name, getattr(rec, name)) for name in FIELD_NAMES]
+                     for rec in records)
+    return buf.getvalue()
 
 
 def render_json(records: list[ScanRecord]) -> str:
@@ -378,7 +386,7 @@ def cmd_field(args) -> int:
     if args.format == "json":
         text = json.dumps(record_to_json_obj(rec), indent=2) + "\n"
     elif args.format == "csv":
-        text = ",".join(FIELD_NAMES) + "\n" + record_to_csv_row(rec) + "\n"
+        text = render_csv([rec])
     else:
         text = render_human(rec)
     return _write_output(text, args.out)
@@ -408,8 +416,7 @@ def cmd_scan(args) -> int:
                 except DefectError:
                     raise
                 except ToolkitError as exc:
-                    note = f"{type(exc).__name__}: {exc}".replace(",", ";")
-                    records.append(null_record(p, r, m, note))
+                    records.append(null_record(p, r, m, f"{type(exc).__name__}: {exc}"))
 
     if args.format == "json":
         text = render_json(records)

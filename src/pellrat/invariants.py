@@ -207,7 +207,8 @@ def distinct_fields_scan(p: int, r_max: int,
     """Radicands of the m = 1 family for r = 2 .. r_max.
 
     Flags any repeated field and any occurrence of d = 2; factorization
-    failures are recorded per row and do not stop the scan.
+    failures are recorded per row and do not stop the scan.  A DefectError
+    is a bug, not a row, and propagates.
     """
     if r_max < 2:
         raise ValueError("r_max must be >= 2")
@@ -218,6 +219,8 @@ def distinct_fields_scan(p: int, r_max: int,
     for r in range(2, r_max + 1):
         try:
             fam = construct_family(p, r, 1, effort)
+        except DefectError:
+            raise
         except Exception as exc:  # per-row failure, scan continues
             rows.append((r, None))
             failures.append((r, f"{type(exc).__name__}: {exc}"))

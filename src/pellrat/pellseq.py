@@ -12,6 +12,7 @@ the observable content of the appendix-style divisibility results.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import intkit
@@ -47,14 +48,19 @@ def pell_pair(n: int) -> PellPair:
     return PellPair(n=n, g=acc[0], f=acc[1])
 
 
+def g_values(n_max: int) -> Iterator[int]:
+    """G_0 .. G_{n_max} one at a time, by the two-term recurrence."""
+    g0, g1 = 1, 1
+    for _ in range(n_max + 1):
+        yield g0
+        g0, g1 = g1, 2 * g1 + g0
+
+
 def g_sequence(n_max: int) -> list[int]:
     """G_0 .. G_{n_max} by the two-term recurrence (one addition per step)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    seq = [1, 1]
-    while len(seq) <= n_max:
-        seq.append(2 * seq[-1] + seq[-2])
-    return seq[:n_max + 1]
+    return list(g_values(n_max))
 
 
 def addition_identity_check(l: int, m: int) -> bool:
@@ -102,8 +108,8 @@ def g_gcd_oracle(l: int, m: int) -> int:
 def prime_power_search(p: int, n_max: int) -> list[tuple[int, int]]:
     """All (n, e) with 0 <= n <= n_max, G_n == p**e and e >= 2.
 
-    G is generated incrementally; a hit must be a pure power of p, so the
-    scan filters on divisibility by p first and then certifies the full
+    G is streamed, never held whole; a hit must be a pure power of p, so
+    the scan filters on divisibility by p first and then certifies the full
     power exactly.  More than one hit contradicts the uniqueness result
     for p-power values, so that raises DefectError.
     """
@@ -112,7 +118,7 @@ def prime_power_search(p: int, n_max: int) -> list[tuple[int, int]]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     hits: list[tuple[int, int]] = []
-    for n, g in enumerate(g_sequence(n_max)):
+    for n, g in enumerate(g_values(n_max)):
         if g % p:
             continue
         e = intkit.valuation(g, p)

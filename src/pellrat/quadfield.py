@@ -303,6 +303,23 @@ def m_bound_floor(p: int, r: int) -> int:
 
 
 def m_bound_satisfied(p: int, r: int, m: int) -> bool:
+    """m <= m_bound(p, r), decided on bit lengths when they suffice.
+
+    m * 2**q <= (1 + C(q, 2)) * p**k with k = q - r; as
+    2**(k*(bits(p) - 1)) <= p**k < 2**(k*bits(p)), the bit lengths of both
+    sides usually settle it without building p**k, which has about
+    q*log2(p) bits.  Only a close call falls back to the exact shift.
+    """
+    if r < 2:
+        raise ValueError("r must be >= 2")
+    q = p ** (r - 1)
+    k = q - r
+    coeff_bits = (1 + math.comb(q, 2)).bit_length()
+    lhs_bits = m.bit_length() + q  # 2**(lhs_bits-1) <= m * 2**q < 2**lhs_bits
+    if lhs_bits <= coeff_bits - 1 + k * (p.bit_length() - 1):
+        return True
+    if m >= 1 and coeff_bits + k * p.bit_length() <= lhs_bits - 1:
+        return False
     return m <= m_bound_floor(p, r)
 
 

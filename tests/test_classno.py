@@ -2,33 +2,32 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import (slow_class_number, slow_minus_one_norm,
+from oracles import (_is_reduced, slow_class_number, slow_minus_one_norm,
                      slow_narrow_class_number, slow_reduced_forms,
                      squarefree_split)
 
 from pellrat import classno
 from pellrat import quadfield as qf
-from pellrat.errors import DiscriminantTooLarge
+from pellrat.errors import DefectError, DiscriminantTooLarge
 
 SQUAREFREE = [d for d in range(2, 201) if squarefree_split(d)[0] == 1]
 DISCS = sorted({qf.QuadraticField(d).disc for d in SQUAREFREE})
 
 
 def test_operations_reject_bad_discriminants():
-    form = classno.QuadForm(1, 18, -1)
-    assert form.disc == 328
+    assert (1, 18, -1) in classno.reduced_forms(328)  # 18**2 + 4 = 328
     with pytest.raises(ValueError):
-        classno.is_reduced(classno.QuadForm(1, 0, 1))  # disc -4
+        classno.rho_reduce((1, 0, 1))  # disc -4
     with pytest.raises(ValueError):
-        classno.rho_reduce(classno.QuadForm(0, 3, 1))  # disc 9, a square
+        classno.rho_reduce((0, 3, 1))  # disc 9, a square
     with pytest.raises(ValueError):
         classno.reduced_forms(7)  # 3 mod 4
 
 
 @given(st.sampled_from(DISCS))
 def test_reduced_forms_match_oracle_enumeration(disc):
-    got = {(f.a, f.b, f.c) for f in classno.reduced_forms(disc)}
-    assert got == slow_reduced_forms(disc)
+    forms = classno.reduced_forms(disc)
+    assert forms == sorted(slow_reduced_forms(disc))
 
 
 @given(st.sampled_from(DISCS))
@@ -38,16 +37,61 @@ def test_rho_walks_inside_the_reduced_set(disc):
     for f in forms:
         g = classno.rho_reduce(f)
         assert g in pool
-        assert g.disc == disc
-        assert classno.is_reduced(g)
+        a, b, c = g
+        assert b * b - 4 * a * c == disc
+        assert _is_reduced(a, b, c, disc)
 
 
 def test_rho_cycle_on_disc_8():
     # the single cycle of disc 8: (1,2,-1) <-> (-1,2,1)
-    f = classno.QuadForm(1, 2, -1)
+    f = (1, 2, -1)
     g = classno.rho_reduce(f)
-    assert (g.a, g.b, g.c) == (-1, 2, 1)
+    assert g == (-1, 2, 1)
     assert classno.rho_reduce(g) == f
+
+
+def _cycles(disc):
+    """The rho-cycles of disc as sets of forms, by the unpatched rho."""
+    pending, cycles = set(classno.reduced_forms(disc)), []
+    while pending:
+        cycle, g = set(), pending.pop()
+        while g not in cycle:
+            cycle.add(g)
+            g = classno.rho_reduce(g)
+        pending -= cycle
+        cycles.append(cycle)
+    return cycles
+
+
+def test_narrow_class_number_gates_a_rho_that_leaves_the_set(monkeypatch):
+    rho = classno.rho_reduce
+
+    def off_the_set(f):
+        a, b, c = rho(f)
+        return a, b + 2, c  # of another discriminant
+
+    monkeypatch.setattr(classno, "rho_reduce", off_the_set)
+    with pytest.raises(DefectError, match="not pending"):
+        classno.narrow_class_number(40)
+
+
+def test_narrow_class_number_gates_a_rho_into_another_cycle(monkeypatch):
+    # disc 40 has two cycles; every step from the second lands in the first,
+    # which the walk meets either already walked or again after a lap.  A
+    # walk that only looks for its start never stops, so steps are capped.
+    first, second = _cycles(40)
+    target = min(first)
+    rho = classno.rho_reduce
+    steps = []
+
+    def into_first(f):
+        steps.append(f)
+        assert len(steps) < 100, "the rho walk did not stop"
+        return target if f in second else rho(f)
+
+    monkeypatch.setattr(classno, "rho_reduce", into_first)
+    with pytest.raises(DefectError, match="not pending"):
+        classno.narrow_class_number(40)
 
 
 @given(st.sampled_from(DISCS))

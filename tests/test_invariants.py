@@ -205,6 +205,15 @@ def test_distinct_fields_scan_records_failures():
     assert all("IncompleteFactorization" in msg for _, msg in rep.failures)
 
 
+def test_distinct_fields_scan_raises_defects(monkeypatch):
+    def broken(*args, **kwargs):
+        raise DefectError("family unit lost norm -1")
+
+    monkeypatch.setattr(invariants, "construct_family", broken)
+    with pytest.raises(DefectError):
+        invariants.distinct_fields_scan(3, 3)
+
+
 def test_invariant_report_defect_guards():
     f = fam(3, 2)
     report, notes = invariants.build_report(f)

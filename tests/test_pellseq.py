@@ -104,7 +104,7 @@ def test_prime_power_search_finds_planted_hit(monkeypatch):
     def fake_sequence(n_max):
         return fake[: n_max + 1]
 
-    monkeypatch.setattr(pellseq, "g_sequence", fake_sequence)
+    monkeypatch.setattr(pellseq, "g_values", fake_sequence)
     assert pellseq.prime_power_search(3, 5) == [(4, 3)]
 
 
@@ -114,6 +114,6 @@ def test_prime_power_search_two_hits_is_a_defect(monkeypatch):
     def fake_sequence(n_max):
         return fake[: n_max + 1]
 
-    monkeypatch.setattr(pellseq, "g_sequence", fake_sequence)
+    monkeypatch.setattr(pellseq, "g_values", fake_sequence)
     with pytest.raises(DefectError):
         pellseq.prime_power_search(3, 5)

@@ -125,6 +125,22 @@ def test_m_bound_satisfied_is_fast_at_depth():
     assert time.perf_counter() - t0 <= 1.5
 
 
+def test_m_bound_satisfied_builds_no_power_of_p_at_depth():
+    # p**(q - r) with q = 7**8 has 16 million bits; building it takes seconds
+    t0 = time.perf_counter()
+    assert qf.m_bound_satisfied(7, 9, 1)
+    assert time.perf_counter() - t0 <= 0.1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_m_bound_satisfied_agrees_with_the_floor(p, r):
+    top = qf.m_bound_floor(p, r)
+    far = top << (p.bit_length() * p ** (r - 1))  # too long on bit lengths alone
+    for m in [*range(1, 50), top - 1, top, top + 1, 2 * top + 2, far]:
+        assert qf.m_bound_satisfied(p, r, m) == (m <= top), m
+
+
 def test_gseq_pair_prints_past_the_digit_limit(capsys):
     with no_digit_limit() as limit:
         g, f = slow_pell(12000)
