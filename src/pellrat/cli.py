@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 from . import classno, intkit, invariants, padic, pellseq
@@ -298,13 +299,20 @@ def _usage(message: str) -> int:
     return EXIT_USAGE
 
 
-def _m_values(policy: str, p: int, r: int) -> list[int]:
+# `scan --m bound` refuses a cell whose floor(m_bound) is above this: that
+# admits (3, 4) with 246,900 rows but not (5, 3) with about 2.1e10, and
+# `--m N` still reaches any single m
+M_BOUND_MAX = 10**6
+
+
+def _m_values(policy: str, p: int, r: int) -> Iterator[int]:
+    # lazily, so that no list of floor(m_bound) values is ever built
     if policy == "one":
-        return [1]
-    if policy == "bound":
-        return [m for m in range(1, m_bound_floor(p, r) + 1) if m % p != 0]
-    m = int(policy)
-    return [m] if m % p != 0 else []
+        yield 1
+    elif policy == "bound":
+        yield from (m for m in range(1, m_bound_floor(p, r) + 1) if m % p != 0)
+    elif int(policy) % p != 0:
+        yield int(policy)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,6 +411,12 @@ def cmd_scan(args) -> int:
             return _usage(f"--m must be 'one', 'bound', or an integer, got {policy!r}")
         if m_fixed < 1:
             return _usage(f"--m must be >= 1, got {m_fixed}")
+    if policy == "bound":
+        for p in ps:
+            for r in rs:
+                if m_bound_satisfied(p, r, M_BOUND_MAX + 1):
+                    return _usage(f"--m bound: floor(m_bound({p}, {r})) exceeds "
+                                  f"{M_BOUND_MAX}; use --m N for a single m")
     opts = _options_from(args)
     cache = FactorCache(args.cache)
 

@@ -7,6 +7,7 @@ unfinished factorization is representable (``complete=False``), not fatal.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -84,6 +85,61 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
+
+
+def sqrt_mod_prime(a: int, p: int) -> int:
+    """A square root of a modulo the odd prime p, by Tonelli-Shanks.
+
+    a must be a square mod p; the root of 0 is 0.
+
+    >>> pow(sqrt_mod_prime(10, 13), 2, 13)
+    10
+    """
+    a %= p
+    if a == 0:
+        return 0
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q = p - 1
+    s = 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while jacobi(z, p) != -1:
+        z += 1
+    m = s
+    c = pow(z, q, p)
+    t = pow(a, q, p)
+    root = pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i = 0
+        t2 = t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m = i
+        c = b * b % p
+        t = t * c % p
+        root = root * b % p
+    return root
+
+
+def primes_up_to(n: int) -> list[int]:
+    """The primes <= n in ascending order, by the sieve of Eratosthenes.
+
+    >>> primes_up_to(20)
+    [2, 3, 5, 7, 11, 13, 17, 19]
+    """
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return list(itertools.compress(range(n + 1), sieve))
 
 
 def valuation(n: int, p: int) -> int:
@@ -295,14 +351,21 @@ def divisors_of(f: Factorization) -> list[int]:
     """All positive divisors from a complete factorization, sorted."""
     if not f.complete:
         raise IncompleteFactorization(f"cannot enumerate divisors of {f.value}")
+    return expand_divisors(f.factors)
+
+
+def expand_divisors(factors) -> list[int]:
+    """All positive divisors of the product of (prime, exponent) pairs, sorted.
+
+    >>> expand_divisors([(2, 2), (3, 1)])
+    [1, 2, 3, 4, 6, 12]
+    """
     divs = [1]
-    for p, e in f.factors:
-        pk = 1
-        block = []
+    for p, e in factors:
+        block = divs
         for _ in range(e):
-            pk *= p
-            block.extend(d * pk for d in divs)
-        divs.extend(block)
+            block = [d * p for d in block]
+            divs = divs + block
     return sorted(divs)
 
 

@@ -25,39 +25,6 @@ PRIMARY = "primary"
 CONJUGATE = "conjugate"
 
 
-def _sqrt_mod_p(a: int, p: int) -> int:
-    # Tonelli-Shanks; a is a quadratic residue mod the odd prime p
-    a %= p
-    if a == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q = p - 1
-    s = 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while intkit.jacobi(z, p) != -1:
-        z += 1
-    m = s
-    c = pow(z, q, p)
-    t = pow(a, q, p)
-    root = pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i = 0
-        t2 = t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m = i
-        c = b * b % p
-        t = t * c % p
-        root = root * b % p
-    return root
-
-
 def _lift_sqrt(s: int, d: int, p: int, k_from: int, k_to: int) -> int:
     # Newton doubling for x**2 = d, staying on the root fixed mod p**k_from
     k = k_from
@@ -80,7 +47,7 @@ def hensel_sqrt(d: int, p: int, k: int) -> int:
         raise ValueError("precision k must be >= 1")
     if d % p == 0 or intkit.jacobi(d % p, p) != 1:
         raise NoEmbedding(f"{d} is not an invertible square mod {p}")
-    s = _sqrt_mod_p(d, p)
+    s = intkit.sqrt_mod_prime(d, p)
     s = _lift_sqrt(s, d, p, 1, k)
     return min(s, p**k - s)
 

@@ -106,6 +106,30 @@ def slow_reduced_forms(disc: int) -> set[tuple[int, int, int]]:
     return forms
 
 
+def by_b_reduced_forms(disc: int) -> list[tuple[int, int, int]]:
+    """Every reduced form of the given discriminant, sorted, by factoring
+    (disc - b**2)/4 with `intkit.factor` once per admissible b.
+
+    The production code's former enumerator: the same reduction window as
+    `classno.reduced_forms`, but no sieve.
+    """
+    from pellrat import intkit
+
+    assert disc > 0 and disc % 4 in (0, 1) and math.isqrt(disc) ** 2 != disc
+    s = math.isqrt(disc)
+    forms = []
+    for b in range(2 - disc % 2, s + 1, 2):
+        m = (disc - b * b) // 4
+        fct = intkit.factor(m) if m > 1 else None
+        assert fct is None or fct.complete, m
+        for dv in intkit.divisors_of(fct) if fct else [1]:
+            if s - b < 2 * dv <= s + b:
+                forms.append((dv, b, -(m // dv)))
+                forms.append((-dv, b, m // dv))
+    forms.sort()
+    return forms
+
+
 def slow_rho(form: tuple[int, int, int], disc: int) -> tuple[int, int, int]:
     """One reduction step: (a, b, c) -> (c, b', (b'^2 - disc)/(4c))."""
     _, b, c = form

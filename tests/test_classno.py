@@ -1,17 +1,22 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import (_is_reduced, slow_class_number, slow_minus_one_norm,
-                     slow_narrow_class_number, slow_reduced_forms,
-                     squarefree_split)
+from oracles import (_is_reduced, by_b_reduced_forms, slow_class_number,
+                     slow_minus_one_norm, slow_narrow_class_number,
+                     slow_reduced_forms, squarefree_split)
 
-from pellrat import classno
+from pellrat import classno, intkit
 from pellrat import quadfield as qf
 from pellrat.errors import DefectError, DiscriminantTooLarge
 
 SQUAREFREE = [d for d in range(2, 201) if squarefree_split(d)[0] == 1]
 DISCS = sorted({qf.QuadraticField(d).disc for d in SQUAREFREE})
+# field discriminants of the m = 1 cells (3, 2..8), (5, 2..5) and (7, 2..5)
+CELL_DISCS = [328, 2920, 9448, 26248, 2125768, 19131880, 172186888,
+              2504, 62504, 1562504, 39062504, 9608, 18824, 23059208, 45196040]
 
 
 def test_operations_reject_bad_discriminants():
@@ -27,7 +32,34 @@ def test_operations_reject_bad_discriminants():
 @given(st.sampled_from(DISCS))
 def test_reduced_forms_match_oracle_enumeration(disc):
     forms = classno.reduced_forms(disc)
-    assert forms == sorted(slow_reduced_forms(disc))
+    assert forms == by_b_reduced_forms(disc) == sorted(slow_reduced_forms(disc))
+
+
+@pytest.mark.parametrize("disc", CELL_DISCS)
+def test_sieve_matches_the_by_b_enumeration_on_cell_discs(disc):
+    assert classno.reduced_forms(disc) == by_b_reduced_forms(disc)
+
+
+def test_class_number_factors_nothing(monkeypatch):
+    field = qf.construct_family(3, 8).field
+    calls = []
+    factor = intkit.factor
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(intkit, "factor", counted)
+    assert classno.class_number(field) == 880
+    assert calls == []
+
+
+def test_narrow_class_number_at_1_5e9_within_budget():
+    # cell (3, 9); one factor() per b took about 3.5 s here
+    t0 = time.perf_counter()
+    assert classno.narrow_class_number(1549681960) == 2520
+    elapsed = time.perf_counter() - t0
+    assert elapsed <= 1.5, f"{elapsed:.2f} s (budget 1.5 s)"
 
 
 @given(st.sampled_from(DISCS))

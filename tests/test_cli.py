@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import pellrat
 from pellrat import cli, intkit
 
 
@@ -132,6 +136,43 @@ def test_scan_m_bound_policy(capsys):
     want = [m for m in range(1, 53) if m % 3]
     assert [int(row["m"]) for row in r3] == want
     assert all(row["m_bound_ok"] == "true" for row in rows)
+
+
+# runs the CLI under a 512 MB address-space limit, so that a scan which
+# builds floor(m_bound) values fails fast instead of exhausting the machine
+SMALL_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from pellrat.cli import entrypoint
+sys.exit(entrypoint(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("p, r", [(5, 3), (11, 2)])
+def test_scan_m_bound_refuses_a_bound_past_the_cap(p, r):
+    # floor(m_bound) is about 2.1e10 at (5, 3) and 6.4e7 at (11, 2)
+    src = os.path.dirname(os.path.dirname(pellrat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", SMALL_CHILD, "scan", "--p", f"3,{p}", "--r", f"2..{r}",
+         "--m", "bound"], capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == cli.EXIT_USAGE, proc.stderr[-500:]
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: --m bound: floor(m_bound({p}, {r})) exceeds "
+                           f"1000000; use --m N for a single m\n")
+
+
+def test_scan_m_bound_cap_is_inclusive(capsys, monkeypatch):
+    # floor(m_bound(3, 3)) = 52
+    monkeypatch.setattr(cli, "M_BOUND_MAX", 51)
+    code, out, err = run(capsys, "scan", "--p", "3", "--r", "3", "--m", "bound")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert "floor(m_bound(3, 3)) exceeds 51" in err
+    monkeypatch.setattr(cli, "M_BOUND_MAX", 52)
+    code, out, _ = run(capsys, "scan", "--p", "3", "--r", "3", "--m", "bound")
+    assert code == 0
+    assert [int(row["m"]) for row in parse_csv(out)] == [m for m in range(1, 53) if m % 3]
 
 
 def test_scan_explicit_m(capsys):

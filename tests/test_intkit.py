@@ -139,6 +139,26 @@ def test_divisors_of_small():
     assert sorted(intkit.divisors_of(f)) == [1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60]
 
 
+@given(st.integers(min_value=1, max_value=10**6))
+def test_expand_divisors_matches_trial_division(n):
+    divs = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    want = sorted(set(divs) | {n // d for d in divs})
+    assert intkit.expand_divisors(sorted(trial_factor(n).items())) == want
+
+
+def test_primes_up_to_matches_sieve():
+    assert intkit.primes_up_to(9_999) == sorted(PRIMES_BELOW_10K)
+    assert [intkit.primes_up_to(n) for n in range(4)] == [[], [], [2], [2, 3]]
+
+
+def test_sqrt_mod_prime_finds_every_root():
+    # p = 1 mod 8 (17, 41, 73, 97, 113) runs the Tonelli-Shanks loop itself
+    for p in sorted(PRIMES_BELOW_10K)[1:40]:
+        for a in range(p):
+            if a == 0 or pow(a, (p - 1) // 2, p) == 1:
+                assert pow(intkit.sqrt_mod_prime(a + 5 * p, p), 2, p) == a, (a, p)
+
+
 def test_wieferich_catalog():
     hits = [p for p in sorted(PRIMES_BELOW_10K) if intkit.is_wieferich(p)]
     assert hits == [1093, 3511]
