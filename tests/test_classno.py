@@ -55,7 +55,8 @@ def test_class_number_factors_nothing(monkeypatch):
 
 
 def test_narrow_class_number_at_1_5e9_within_budget():
-    # cell (3, 9); one factor() per b took about 3.5 s here
+    # cell (3, 9); with one factor() call per b this took about 3.5 s on a
+    # 2-core machine, and the sieve takes about 0.5 s there
     t0 = time.perf_counter()
     assert classno.narrow_class_number(1549681960) == 2520
     elapsed = time.perf_counter() - t0
