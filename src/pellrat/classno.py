@@ -1,28 +1,44 @@
-"""Class numbers of real quadratic fields by cycles of reduced forms.
+"""Class numbers of real quadratic fields by one exact distance sum.
 
 A form is a plain ``(a, b, c)`` tuple of ints with positive nonsquare
-discriminant b**2 - 4ac.  It is reduced when
-|sqrt(disc) - 2|a|| < b < sqrt(disc); all comparisons run on integers
-against isqrt(disc), never on floats.  The reduction step rho permutes the
-reduced forms, and the narrow class number is the number of rho-cycles.
-The wide class number follows from the norm of the fundamental unit.
+discriminant D = b**2 - 4ac.  It is reduced when
+|sqrt(D) - 2|a|| < b < sqrt(D); all comparisons run on integers against
+isqrt(D), never on floats.  The reduced forms of one discriminant come from
+the divisors of (D - b**2)/4 for every admissible b, and one sieve over b
+factors all of those numbers completely, without a call to `intkit.factor`.
 
-The reduced forms of one discriminant come from the divisors of
-(disc - b**2)/4 for every admissible b, and one sieve over b factors all of
-those numbers completely, without a call to `intkit.factor`.
+The narrow class number h+ is the number of rho-cycles of reduced forms,
+but no cycle is walked.  Each cycle goes once round the infrastructure, so
+its distances log((b + sqrt(D))/(2|a|)) add up to log eps+, where eps+ is
+the least unit above 1 of norm +1 (Shanks, "The infrastructure of a real
+quadratic field", 1972; Lenstra, "On the calculation of regulators and
+class numbers of quadratic fields", 1982).  Summed over every reduced form,
+the distances give h+ * log eps+.  The sum is carried as one product with
+integer lower and upper bounds, a sieve block at a time, and compared with
+integer bounds on eps+ through a fixed-point log2; h+ is accepted only when
+the quotient's interval holds exactly one integer.  The wide class number
+follows from the norm of the fundamental unit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Iterator
 
 from . import intkit
 from .errors import DefectError, DiscriminantTooLarge
-from .quadfield import QuadInt, QuadraticField, qi_norm, unit_norm_sign
+from .quadfield import QuadInt, QuadraticField, fundamental_unit, qi_norm
 
 DEFAULT_DISC_CEILING = 10**10
 
 Form = tuple[int, int, int]
+
+# fractional bits of every fixed-point number here: the roots, the running
+# product's mantissa and the log2 values.  Up to 10**7 reduced forms keep
+# log2(hi/lo) of the distance product below 2**-38, far inside what telling
+# h+ from h+ +- 1 needs.
+_BITS = 64
 
 
 def _valid_disc(disc: int) -> int:
@@ -32,20 +48,6 @@ def _valid_disc(disc: int) -> int:
     if s * s == disc:
         raise ValueError("discriminant must not be a square")
     return s
-
-
-def rho_reduce(f: Form) -> Form:
-    """One reduction step: (a, b, c) -> (c, b', c').
-
-    b' is the unique residue of -b mod 2|c| inside the window
-    (sqrt(disc) - 2|c|, sqrt(disc)); on reduced forms rho steps along the
-    form's cycle.
-    """
-    a, b, c = f
-    disc = b * b - 4 * a * c
-    s = _valid_disc(disc)
-    b_next = s - (s + b) % (2 * abs(c))
-    return c, b_next, (b_next * b_next - disc) // (4 * c)
 
 
 # b values sieved at a time: small enough that a block's factor lists stay
@@ -72,13 +74,17 @@ def _progressions(disc: int, b0: int, q_max: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def reduced_forms(disc: int) -> list[Form]:
-    """All reduced forms of the given discriminant, sorted.
+def _window_divisors(disc: int, s: int) -> Iterator[tuple[int, int, list[int]]]:
+    """(b, m_b, ds) for every admissible b that may have reduced forms,
+    where m_b = (disc - b**2)/4 and ds lists the divisors d of m_b with
+    s - b < 2d <= s + b, ascending.
 
-    For each admissible b the product -a*c is fixed, so the forms come from
-    divisors of m_b = (disc - b**2)/4 inside the reduction window.  As
-    sqrt(disc) is irrational, |sqrt(disc) - 2|a|| < b reads
-    s - b < 2|a| <= s + b with s = isqrt(disc).
+    For each admissible b the product -a*c of a reduced form is m_b, so
+    (d, b, -m_b/d) and (-d, b, m_b/d) for d in ds are the reduced forms with
+    that b.  As sqrt(disc) is irrational, |sqrt(disc) - 2|a|| < b reads
+    s - b < 2|a| <= s + b with s = isqrt(disc).  Both |a| and
+    |c| = m_b/|a| < (sqrt(disc) + b)/2 are at most s, so a b whose m_b has
+    a prime factor above s has no reduced form and is skipped unexpanded.
 
     Every m_b is factored by one sieve over b, a block of b values at a
     time: an odd prime q divides m_b exactly when b**2 = disc mod q, so q is
@@ -86,11 +92,9 @@ def reduced_forms(disc: int) -> list[Form]:
     Sieving every prime up to sqrt(m_b) for the smallest b leaves a
     cofactor of 1 or a prime, so every factorization is complete.
     """
-    s = _valid_disc(disc)
     b0 = 2 - (disc % 2)  # smallest positive b with b**2 = disc mod 4
     count = (s - b0) // 2 + 1
     pairs = _progressions(disc, b0, math.isqrt((disc - b0 * b0) // 4))
-    forms: list[Form] = []
     for lo in range(0, count, _SIEVE_BLOCK):
         bs = range(b0 + 2 * lo, b0 + 2 * min(lo + _SIEVE_BLOCK, count), 2)
         ms = [(disc - b * b) >> 2 for b in bs]
@@ -108,41 +112,128 @@ def reduced_forms(disc: int) -> list[Form]:
                 rest[j] = m
                 factors[j].append((q, e))
         for b, m, cof, fct in zip(bs, ms, rest, factors):
+            if cof > s:
+                continue
             if cof > 1:
                 fct.append((cof, 1))
-            for dv in intkit.expand_divisors(fct):
-                if s - b < 2 * dv <= s + b:
-                    forms.append((dv, b, -(m // dv)))
-                    forms.append((-dv, b, m // dv))
+            divs = intkit.expand_divisors(fct)
+            yield b, m, divs[bisect_right(divs, (s - b) >> 1):
+                             bisect_right(divs, (s + b) >> 1)]
+
+
+def reduced_forms(disc: int) -> list[Form]:
+    """All reduced forms of the given discriminant, sorted."""
+    forms: list[Form] = []
+    for b, m, ds in _window_divisors(disc, _valid_disc(disc)):
+        for dv in ds:
+            forms.append((dv, b, -(m // dv)))
+            forms.append((-dv, b, m // dv))
     forms.sort()
     return forms
 
 
-def narrow_class_number(disc: int, ceiling: int = DEFAULT_DISC_CEILING) -> int:
-    """Number of rho-cycles of reduced forms.
+def _log2_fraction(y: int, up: bool) -> int:
+    """Bound on log2(y / 2**_BITS) * 2**_BITS for 2**_BITS <= y <= 2**(_BITS+1).
 
-    Each cycle starts at a form popped from the pending set, and each rho
-    step removes the form it reaches until the walk is back at the start.
-    A step to a form that is neither pending nor the start left the reduced
-    set or ran into another cycle: rho is a permutation, so that is a bug.
+    Binary digits by repeated squaring: y/2**_BITS is in [1, 2], and a
+    square at 2 or above yields a 1 bit and is halved.  Rounding every
+    square down keeps each step's value at or below the exact one, so the
+    digits read a lower bound; rounding up keeps it at or above, and the
+    digits plus one unit in the last place are an upper bound.
     """
-    _valid_disc(disc)
+    two, bits = 2 << _BITS, 0
+    for _ in range(_BITS):
+        y *= y
+        y = -(-y >> _BITS) if up else y >> _BITS
+        bits <<= 1
+        if y >= two:
+            bits |= 1
+            y = -(-y >> 1) if up else y >> 1
+    return bits + up
+
+
+def _log2_bounds(x: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= log2(x) * 2**_BITS <= hi, for an int x >= 1.
+
+    The integer part comes from the bit length, the fraction from the top
+    _BITS + 1 bits of x, rounded down for lo and up for hi.  Each bound is
+    within 6 units in the last place of the exact value: every rounding is
+    at most 2**-_BITS relative, and the squarings' losses halve step by step.
+    """
+    n = x.bit_length() - 1
+    shift = n - _BITS
+    if shift > 0:
+        y = x >> shift
+        y_up = y + (y << shift != x)
+    else:
+        y = y_up = x << -shift
+    return ((n << _BITS) + _log2_fraction(y, False),
+            (n << _BITS) + _log2_fraction(y_up, True))
+
+
+def _distance_bounds(disc: int, s: int) -> tuple[int, int]:
+    """Bounds on the distance sum, sum log2((b + sqrt(disc))/(2|a|)) over
+    the reduced forms, times 2**_BITS.
+
+    The forms with a < 0 mirror those with a > 0, so the sum is twice log2
+    of one product over the latter, kept as [lo, hi] * 2**e.  Per b,
+    (b + sqrt(disc)) * 2**_BITS lies in [z, z + 1) with
+    z = b * 2**_BITS + isqrt(disc * 4**_BITS), so lo takes z**n // prod(ds)
+    and hi the ceiling of (z + 1)**n / prod(ds).  Both are cut back to
+    2 * _BITS bits, lo down and hi up, whenever they grow past it; lo only
+    grows, as each factor is above 2.
+    """
+    root = math.isqrt(disc << 2 * _BITS)
+    lo = hi = 1
+    e = 0
+    for b, _, ds in _window_divisors(disc, s):
+        n = len(ds)
+        if not n:
+            continue
+        pd = math.prod(ds)
+        z = (b << _BITS) + root
+        lo = lo * z**n // pd
+        hi = -(-hi * (z + 1)**n // pd)
+        e -= (_BITS + 1) * n
+        extra = hi.bit_length() - 2 * _BITS
+        if extra > 0:
+            lo >>= extra
+            hi = -(-hi >> extra)
+            e += extra
+    return (2 * (_log2_bounds(lo)[0] + (e << _BITS)),
+            2 * (_log2_bounds(hi)[1] + (e << _BITS)))
+
+
+def narrow_class_number(disc: int, ceiling: int = DEFAULT_DISC_CEILING,
+                        eps: QuadInt | None = None) -> int:
+    """Narrow class number h+ of the field of discriminant ``disc``.
+
+    h+ * log2(eps+) equals the distance sum over every reduced form, where
+    eps+ is eps or eps**2, whichever has norm +1.  That holds only for the
+    *fundamental* unit eps of the field whose discriminant is ``disc``;
+    it is computed here when not given, and ``disc`` must be a fundamental
+    discriminant (squarefreeness is the caller's, as for QuadraticField).
+    Raises DefectError unless the bounds on the quotient hold exactly one
+    integer, so a wrong unit or a wrong sum cannot pass as a class number.
+    """
+    s = _valid_disc(disc)
     if disc > ceiling:
         raise DiscriminantTooLarge(f"disc {disc} above ceiling {ceiling}")
-    pending = set(reduced_forms(disc))
-    cycles = 0
-    while pending:
-        start = pending.pop()
-        cycles += 1
-        g = rho_reduce(start)
-        while g != start:
-            try:
-                pending.remove(g)
-            except KeyError:
-                raise DefectError(f"rho stepped from the cycle of {start} "
-                                  f"to {g}, which is not pending") from None
-            g = rho_reduce(g)
-    return cycles
+    if eps is None:
+        eps = fundamental_unit(QuadraticField(disc if disc % 4 == 1 else disc // 4))
+    if eps.field.disc != disc:
+        raise ValueError(f"{eps!r} is no unit of the field of discriminant {disc}")
+    plus = eps if qi_norm(eps) == 1 else eps * eps
+    num = (plus.u << _BITS) + math.isqrt(plus.v * plus.v * plus.field.d << 2 * _BITS)
+    y = num // plus.den  # eps+ * 2**_BITS lies in [y, y + 1)
+    r_lo = _log2_bounds(y)[0] - (_BITS << _BITS)
+    r_hi = _log2_bounds(y + 1)[1] - (_BITS << _BITS)
+    s_lo, s_hi = _distance_bounds(disc, s)
+    first, last = -(-s_lo // r_hi), s_hi // r_lo
+    if first != last or first < 1:
+        raise DefectError(f"distance sum over log2 eps+ at disc {disc} holds no "
+                          f"single integer (its bounds round to {first}..{last})")
+    return first
 
 
 def class_number(field: QuadraticField, ceiling: int = DEFAULT_DISC_CEILING,
@@ -153,8 +244,10 @@ def class_number(field: QuadraticField, ceiling: int = DEFAULT_DISC_CEILING,
     and half of it otherwise.  A caller holding the fundamental unit
     passes it as ``eps``.
     """
-    h_plus = narrow_class_number(field.disc, ceiling)
-    if (unit_norm_sign(field) if eps is None else qi_norm(eps)) == -1:
+    if eps is None and field.disc <= ceiling:  # above it, nothing needs eps
+        eps = fundamental_unit(field)
+    h_plus = narrow_class_number(field.disc, ceiling, eps)
+    if qi_norm(eps) == -1:
         return h_plus
     if h_plus % 2:
         raise DefectError("narrow class number must be even for norm +1")

@@ -130,6 +130,51 @@ def by_b_reduced_forms(disc: int) -> list[tuple[int, int, int]]:
     return forms
 
 
+def rho_reduce(f: tuple[int, int, int]) -> tuple[int, int, int]:
+    """One reduction step (a, b, c) -> (c, b', c'), the discriminant taken
+    from the form itself.
+
+    b' is the unique residue of -b mod 2|c| inside the window
+    (sqrt(disc) - 2|c|, sqrt(disc)); on reduced forms rho steps along the
+    form's cycle.  The former production step, kept for the walk below.
+    """
+    a, b, c = f
+    disc = b * b - 4 * a * c
+    s = math.isqrt(disc) if disc > 0 else 0
+    if disc <= 0 or disc % 4 not in (0, 1) or s * s == disc:
+        raise ValueError(f"{f} has discriminant {disc}, not a positive nonsquare")
+    b_next = s - (s + b) % (2 * abs(c))
+    return c, b_next, (b_next * b_next - disc) // (4 * c)
+
+
+def walk_narrow_class_number(disc: int) -> int:
+    """Number of rho-cycles of `classno.reduced_forms(disc)`, by walking them.
+
+    The production code's former route.  Each cycle starts at a form popped
+    from the pending set, and each rho step removes the form it reaches
+    until the walk is back at the start.  A step to a form that is neither
+    pending nor the start left the reduced set or ran into another cycle:
+    rho is a permutation, so that is a bug.
+    """
+    from pellrat import classno
+    from pellrat.errors import DefectError
+
+    pending = set(classno.reduced_forms(disc))
+    cycles = 0
+    while pending:
+        start = pending.pop()
+        cycles += 1
+        g = rho_reduce(start)
+        while g != start:
+            try:
+                pending.remove(g)
+            except KeyError:
+                raise DefectError(f"rho stepped from the cycle of {start} "
+                                  f"to {g}, which is not pending") from None
+            g = rho_reduce(g)
+    return cycles
+
+
 def slow_rho(form: tuple[int, int, int], disc: int) -> tuple[int, int, int]:
     """One reduction step: (a, b, c) -> (c, b', (b'^2 - disc)/(4c))."""
     _, b, c = form

@@ -1,12 +1,16 @@
 import time
+import tracemalloc
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (_is_reduced, by_b_reduced_forms, slow_class_number,
                      slow_minus_one_norm, slow_narrow_class_number,
-                     slow_reduced_forms, squarefree_split)
+                     slow_reduced_forms, squarefree_split,
+                     walk_narrow_class_number)
 
 from pellrat import classno, intkit
 from pellrat import quadfield as qf
@@ -22,9 +26,9 @@ CELL_DISCS = [328, 2920, 9448, 26248, 2125768, 19131880, 172186888,
 def test_operations_reject_bad_discriminants():
     assert (1, 18, -1) in classno.reduced_forms(328)  # 18**2 + 4 = 328
     with pytest.raises(ValueError):
-        classno.rho_reduce((1, 0, 1))  # disc -4
+        oracles.rho_reduce((1, 0, 1))  # disc -4
     with pytest.raises(ValueError):
-        classno.rho_reduce((0, 3, 1))  # disc 9, a square
+        oracles.rho_reduce((0, 3, 1))  # disc 9, a square
     with pytest.raises(ValueError):
         classno.reduced_forms(7)  # 3 mod 4
 
@@ -68,7 +72,7 @@ def test_rho_walks_inside_the_reduced_set(disc):
     forms = classno.reduced_forms(disc)
     pool = set(forms)
     for f in forms:
-        g = classno.rho_reduce(f)
+        g = oracles.rho_reduce(f)
         assert g in pool
         a, b, c = g
         assert b * b - 4 * a * c == disc
@@ -78,9 +82,9 @@ def test_rho_walks_inside_the_reduced_set(disc):
 def test_rho_cycle_on_disc_8():
     # the single cycle of disc 8: (1,2,-1) <-> (-1,2,1)
     f = (1, 2, -1)
-    g = classno.rho_reduce(f)
+    g = oracles.rho_reduce(f)
     assert g == (-1, 2, 1)
-    assert classno.rho_reduce(g) == f
+    assert oracles.rho_reduce(g) == f
 
 
 def _cycles(disc):
@@ -90,22 +94,22 @@ def _cycles(disc):
         cycle, g = set(), pending.pop()
         while g not in cycle:
             cycle.add(g)
-            g = classno.rho_reduce(g)
+            g = oracles.rho_reduce(g)
         pending -= cycle
         cycles.append(cycle)
     return cycles
 
 
 def test_narrow_class_number_gates_a_rho_that_leaves_the_set(monkeypatch):
-    rho = classno.rho_reduce
+    rho = oracles.rho_reduce
 
     def off_the_set(f):
         a, b, c = rho(f)
         return a, b + 2, c  # of another discriminant
 
-    monkeypatch.setattr(classno, "rho_reduce", off_the_set)
+    monkeypatch.setattr(oracles, "rho_reduce", off_the_set)
     with pytest.raises(DefectError, match="not pending"):
-        classno.narrow_class_number(40)
+        walk_narrow_class_number(40)
 
 
 def test_narrow_class_number_gates_a_rho_into_another_cycle(monkeypatch):
@@ -114,7 +118,7 @@ def test_narrow_class_number_gates_a_rho_into_another_cycle(monkeypatch):
     # walk that only looks for its start never stops, so steps are capped.
     first, second = _cycles(40)
     target = min(first)
-    rho = classno.rho_reduce
+    rho = oracles.rho_reduce
     steps = []
 
     def into_first(f):
@@ -122,14 +126,81 @@ def test_narrow_class_number_gates_a_rho_into_another_cycle(monkeypatch):
         assert len(steps) < 100, "the rho walk did not stop"
         return target if f in second else rho(f)
 
-    monkeypatch.setattr(classno, "rho_reduce", into_first)
+    monkeypatch.setattr(oracles, "rho_reduce", into_first)
     with pytest.raises(DefectError, match="not pending"):
-        classno.narrow_class_number(40)
+        walk_narrow_class_number(40)
 
 
 @given(st.sampled_from(DISCS))
 def test_narrow_class_number_matches_oracle(disc):
-    assert classno.narrow_class_number(disc) == slow_narrow_class_number(disc)
+    # the distance sum, the rho walk and the whole-box cycle count
+    h_plus = classno.narrow_class_number(disc)
+    assert h_plus == walk_narrow_class_number(disc) == slow_narrow_class_number(disc)
+
+
+@pytest.mark.parametrize("disc", CELL_DISCS)
+def test_distance_sum_matches_the_walk_on_cell_discs(disc):
+    assert classno.narrow_class_number(disc) == walk_narrow_class_number(disc)
+
+
+def test_distance_sum_rejects_a_unit_that_is_not_fundamental():
+    # cell (3, 2): h+ = 4, and eps**3 makes the quotient 4/3
+    fam = qf.construct_family(3, 2)
+    eps = qf.fundamental_unit(fam.field)
+    assert classno.narrow_class_number(fam.field.disc, eps=eps) == 4
+    with pytest.raises(DefectError, match="no single integer"):
+        classno.narrow_class_number(fam.field.disc, eps=eps**3)
+    sqrt2_unit = qf.fundamental_unit(qf.QuadraticField(2))
+    with pytest.raises(ValueError):
+        classno.narrow_class_number(fam.field.disc, eps=sqrt2_unit)
+    with pytest.raises(ValueError):  # 20 = 4 * 5 is no field discriminant
+        classno.narrow_class_number(20)
+
+
+_BIT = 1 << classno._BITS  # one bit in the fixed-point log2 units
+
+
+@pytest.mark.parametrize("lo_shift, hi_shift", [
+    (_BIT >> 4, _BIT >> 4),  # a sixteenth of a bit too high
+    (-_BIT >> 4, -_BIT >> 4),  # too low
+    (-2 * _BIT, 2 * _BIT),  # two bits too loose: h+ = 4 lies between 2.8 and 5.9
+])
+def test_distance_sum_rejects_a_log_that_is_off(monkeypatch, lo_shift, hi_shift):
+    log2 = classno._log2_bounds
+
+    def off(x):
+        lo, hi = log2(x)
+        return lo + lo_shift, hi + hi_shift
+
+    monkeypatch.setattr(classno, "_log2_bounds", off)
+    with pytest.raises(DefectError, match="no single integer"):
+        classno.narrow_class_number(qf.construct_family(3, 2).field.disc)
+
+
+_POWERS = st.integers(0, 1000).map(lambda k: 2**k)
+
+
+@given(st.one_of(st.integers(1, 2**1000), _POWERS, _POWERS.map(lambda x: x - 1 or 1),
+                 _POWERS.map(lambda x: x + 1)))
+def test_log2_bounds_hold_against_a_decimal_reference(x):
+    lo, hi = classno._log2_bounds(x)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ref = Decimal(x).ln() / Decimal(2).ln() * _BIT
+    slack = Decimal(10) ** -30  # far below one unit, far above 60 digits' error
+    assert -slack <= ref - lo <= 6 and -slack <= hi - ref <= 6
+
+
+def test_narrow_class_number_at_1_5e9_holds_no_form_list():
+    # cell (3, 9): the walk held all 44,800 forms, a 9 MB peak; the sum
+    # holds one sieve block
+    tracemalloc.start()
+    try:
+        assert classno.narrow_class_number(1549681960) == 2520
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20, f"{peak / 2**20:.2f} MB (budget 3 MB)"
 
 
 def test_class_number_spot_values():
