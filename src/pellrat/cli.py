@@ -154,25 +154,20 @@ def compute_record(p: int, r: int, m: int, opts: PipelineOptions,
                    cache: FactorCache, strict: bool = False) -> ScanRecord:
     """Run the whole pipeline on one grid cell.
 
-    With ``strict`` (single-cell mode) factorization and precision
-    failures propagate for the exit-code contract; otherwise they become
-    null fields plus an explanatory note.
+    An incomplete factorization always propagates; the caller decides
+    between an exit code and a null row.  With ``strict`` (single-cell
+    mode) precision exhaustion propagates too, for the exit-code contract;
+    otherwise it leaves null fields plus an explanatory note.
     """
-    try:
-        fam = construct_family(
-            p, r, m, opts.factor_effort,
-            factor_fn=lambda v: cache.factor(v, opts.factor_effort))
-    except IncompleteFactorization:
-        if strict:
-            raise
-        return null_record(p, r, m, "factorization incomplete")
+    fam = construct_family(p, r, m, opts.factor_effort,
+                           factor_fn=lambda v: cache.factor(v, opts.factor_effort))
     ctx = invariants.field_context(fam, opts.classno_ceiling, opts.precision_cap, strict)
-    report, notes = invariants.build_report(ctx, strict=strict)
+    report, notes = invariants.build_report(ctx)
     eps = ctx.eps
     return ScanRecord(
         p=p, r=r, m=m, N=fam.n, b=fam.b, D=fam.d, disc=fam.field.disc,
         unit=(eps.u, eps.v, eps.den), unit_norm=ctx.unit_norm,
-        t_is_fundamental=ctx.t_index == (1, 1), splits=intkit.jacobi(fam.d, p) == 1,
+        t_is_fundamental=ctx.t_is_fundamental, splits=intkit.jacobi(fam.d, p) == 1,
         n2=report.n2, n1_is_one=report.n1_is_one, class_number=report.class_number,
         h_val_p=report.h_val_p, wieferich=report.wieferich, m_bound_ok=ctx.m_bound_ok,
         p_rational=report.p_rational_verdict, greenberg=report.greenberg_verdict,
@@ -305,14 +300,15 @@ def _usage(message: str) -> int:
 M_BOUND_MAX = 10**6
 
 
-def _m_values(policy: str, p: int, r: int) -> Iterator[int]:
-    # lazily, so that no list of floor(m_bound) values is ever built
+def _m_values(policy: str | int, p: int, r: int) -> Iterator[int]:
+    # "one", "bound" or a parsed m; lazily, so that no list of
+    # floor(m_bound) values is ever built
     if policy == "one":
         yield 1
     elif policy == "bound":
         yield from (m for m in range(1, m_bound_floor(p, r) + 1) if m % p != 0)
-    elif int(policy) % p != 0:
-        yield int(policy)
+    elif policy % p != 0:
+        yield policy
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,14 +399,14 @@ def cmd_field(args) -> int:
 def cmd_scan(args) -> int:
     ps = _parse_p_list(args.p)
     rs = _parse_r_range(args.r)
-    policy = args.m
+    policy = m_arg = args.m
     if policy not in ("one", "bound"):
         try:
-            m_fixed = int(policy)
+            m_arg = int(policy)
         except ValueError:
             return _usage(f"--m must be 'one', 'bound', or an integer, got {policy!r}")
-        if m_fixed < 1:
-            return _usage(f"--m must be >= 1, got {m_fixed}")
+        if m_arg < 1:
+            return _usage(f"--m must be >= 1, got {m_arg}")
     if policy == "bound":
         for p in ps:
             for r in rs:
@@ -424,11 +420,13 @@ def cmd_scan(args) -> int:
     records = []
     for p in ps:
         for r in rs:
-            for m in _m_values(policy, p, r):
+            for m in _m_values(m_arg, p, r):
                 try:
                     records.append(compute_record(p, r, m, opts, cache))
                 except DefectError:
                     raise
+                except IncompleteFactorization:
+                    records.append(null_record(p, r, m, "factorization incomplete"))
                 except ToolkitError as exc:
                     records.append(null_record(p, r, m, f"{type(exc).__name__}: {exc}"))
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from . import classno, intkit, padic
 from .errors import DefectError, DiscriminantTooLarge, PrecisionExhausted
 from .quadfield import (FamilyField, QuadInt, QuadraticField, construct_family,
-                        element, fundamental_unit, m_bound_satisfied, qi_norm,
-                        unit_index)
+                        element, fundamental_unit, m_bound_satisfied, qi_norm)
 
 N1_CERTIFIED = "certified"
 N1_REFUTED = "refuted"
@@ -86,13 +85,9 @@ def n1_certificate(fam: FamilyField, h: int,
 
 def _n1_route(ctx: FieldContext) -> str:
     # the proof route of n1_certificate once p does not divide h
-    fam = ctx.family
-    gen_order = padic.congruence_order(element(fam.field, 1, fam.b), ctx.embedding, ctx.cap)
-    if ctx.n2 >= 2 and gen_order == 1:
-        return N1_CERTIFIED
-    if ctx.n2 >= 2 and gen_order >= 2:
-        return N1_REFUTED
-    return N1_UNKNOWN
+    if ctx.n2 < 2 or ctx.gen_order is None:
+        return N1_UNKNOWN
+    return N1_CERTIFIED if ctx.gen_order == 1 else N1_REFUTED
 
 
 def gen_fib(a: int, n: int) -> int:
@@ -272,18 +267,22 @@ class InvariantReport:
 class FieldContext:
     """The per-field quantities both verdicts read, each computed once.
 
+    ``unit_congruence`` says whether eps**(p-1) = 1 mod p**2 in O_K.
     ``n2`` is eps's congruence order along the capped family ``embedding``,
-    None when the precision cap ran out; ``h_missing`` says why h is None.
+    and ``gen_order`` that of the generator b*sqrt(d) + 1 (m = 1 only);
+    each is None when the precision cap ran out.  ``h_missing`` says why h
+    is None.
     """
 
     family: FamilyField
     eps: QuadInt
     unit_norm: int
-    t_index: tuple[int, int]  # (sign, k) with t == sign * eps**k
+    t_is_fundamental: bool
     m_bound_ok: bool
-    cap: int
+    unit_congruence: bool
     embedding: padic.SplitPrimeEmbedding
     n2: int | None
+    gen_order: int | None
     class_number: int | None
     h_missing: str | None
 
@@ -298,21 +297,28 @@ def field_context(fam: FamilyField,
     A class number passed as ``h`` is used as given.  Otherwise it is
     computed up to ``classno_ceiling``, or not at all when ``compute_h`` is
     unset.  With ``strict`` set, precision exhaustion propagates instead of
-    leaving ``n2`` empty.
+    leaving ``n2`` or ``gen_order`` empty.
     """
     eps = fundamental_unit(fam.field)
+    # the defect gate inside the bound lives in the check itself
+    unit_congruence = epsilon_congruence_check(fam, eps)
     # start at the usual working precision, but never above the cap: the
     # cap promises no computation at higher precision, period
     emb = padic.family_embedding(fam, k=min(max(8, 2 * fam.r + 2), cap))
-    n2: int | None
-    try:
-        n2 = padic.unit_congruence_order(eps, emb, cap)
-    except PrecisionExhausted:
-        if strict:
-            raise
-        n2 = None
+
+    def order(order_fn, x: QuadInt) -> int | None:
+        try:
+            return order_fn(x, emb, cap)
+        except PrecisionExhausted:
+            if strict:
+                raise
+            return None
+
+    n2 = order(padic.unit_congruence_order, eps)
     if fam.m == 1 and fam.d != 2 and n2 not in (None, fam.r):
         raise DefectError(f"n2 = {n2} != r = {fam.r} at (p={fam.p}, r={fam.r}, m=1)")
+    gen = element(fam.field, 1, fam.b)  # b*sqrt(d) + 1
+    gen_order = order(padic.congruence_order, gen) if fam.m == 1 else None
     h_missing = None
     if h is None and not compute_h:
         h_missing = "class number not computed"
@@ -322,25 +328,19 @@ def field_context(fam: FamilyField,
         except DiscriminantTooLarge:
             h_missing = "class number ceiling"
     return FieldContext(
-        family=fam, eps=eps, unit_norm=qi_norm(eps), t_index=unit_index(fam.t, eps),
-        m_bound_ok=m_bound_satisfied(fam.p, fam.r, fam.m), cap=cap, embedding=emb,
-        n2=n2, class_number=h, h_missing=h_missing)
+        family=fam, eps=eps, unit_norm=qi_norm(eps), t_is_fundamental=fam.t == eps,
+        m_bound_ok=m_bound_satisfied(fam.p, fam.r, fam.m),
+        unit_congruence=unit_congruence, embedding=emb, n2=n2, gen_order=gen_order,
+        class_number=h, h_missing=h_missing)
 
 
-def build_report(ctx: FieldContext | FamilyField,
-                 classno_ceiling: int = classno.DEFAULT_DISC_CEILING,
-                 cap: int = padic.DEFAULT_PRECISION_CAP,
-                 strict: bool = False) -> tuple[InvariantReport, list[str]]:
+def build_report(ctx: FieldContext) -> tuple[InvariantReport, list[str]]:
     """Full invariant report plus notes explaining every missing value.
 
-    The one place that decides the certificate chain, the defect gates
-    inside the coefficient bound and both verdicts.  A bare FamilyField
-    gets its context here, from the ceiling, the cap and ``strict``.  With
-    ``strict`` set, precision exhaustion propagates instead of being
-    recorded as a note (single-cell callers want the exit code).
+    The one place that decides the certificate chain, the verdict gate
+    inside the coefficient bound and both verdicts.  It computes nothing
+    of the field: every quantity it weighs is read from the context.
     """
-    if isinstance(ctx, FamilyField):
-        ctx = field_context(ctx, classno_ceiling, cap, strict)
     fam, p, h, n2 = ctx.family, ctx.family.p, ctx.class_number, ctx.n2
     notes = ["precision exhausted"] if n2 is None else []
     if ctx.h_missing is not None:
@@ -348,9 +348,7 @@ def build_report(ctx: FieldContext | FamilyField,
     wief = intkit.is_wieferich(p)
     h_val = intkit.valuation(h, p) if h is not None else None
 
-    # the unit congruence feeds the regulator entry; its check is the
-    # defect gate inside the bound
-    ledger = _ledger(p, h, epsilon_congruence_check(fam, ctx.eps))
+    ledger = _ledger(p, h, ctx.unit_congruence)
     p_rational = NON_P_RATIONAL if ledger.torsion_lower_bound >= 1 else INCONCLUSIVE
     if p_rational != NON_P_RATIONAL and ctx.m_bound_ok:
         raise DefectError(
@@ -371,11 +369,7 @@ def build_report(ctx: FieldContext | FamilyField,
     elif n2 is None:
         reason = "precision exhausted"
     else:
-        try:
-            n1 = _n1_route(ctx)
-        except PrecisionExhausted:
-            if strict:
-                raise
+        n1 = _n1_route(ctx)
         if n1 == N1_CERTIFIED:
             greenberg = MU_LAMBDA_ZERO
             prediction = p ** (n2 - 1)
@@ -424,6 +418,6 @@ def greenberg_verdict(p: int, r: int, h: int | None = None,
         return GreenbergResult(INCONCLUSIVE, None, "Wieferich prime")
     fam = construct_family(p, r, 1, effort)
     ctx = field_context(fam, classno_ceiling, cap, strict=True, h=h)
-    report, _ = build_report(ctx, strict=True)
+    report, _ = build_report(ctx)
     return GreenbergResult(report.greenberg_verdict, report.an_prediction,
                            report.greenberg_reason)

@@ -3,9 +3,10 @@
 Elements are (u + v*sqrt(d))/den with den in {1, 2}; den = 2 occurs only in
 the half-integral ring (d = 1 mod 4, u and v both odd).  The fundamental
 unit comes from the continued-fraction expansion of the standard ring
-generator, run entirely on integers with period detection by state
-repetition.  The module also owns the field family with radicand
-m**2 * p**(2r) + 1 and its exact coefficient bound.
+generator, run entirely on integers; the primitive period closes at the
+first later complete quotient whose denominator Q is the generator's Q0.
+The module also owns the field family with radicand m**2 * p**(2r) + 1
+and its exact coefficient bound.
 """
 
 from __future__ import annotations
@@ -191,39 +192,30 @@ def _cf_generator_start(field: QuadraticField) -> tuple[int, int]:
 def fundamental_unit(field: QuadraticField) -> QuadInt:
     """Smallest unit > 1 of the ring of integers.
 
-    Runs the continued fraction of the standard generator with the exact
-    (P, Q) recurrence on (P + sqrt(d))/Q; the first repeated state closes
-    the primitive period, and the convergent matrices around the cycle fix
-    the generator, producing the unit as an eigenvalue.
+    Runs the continued fraction of the standard generator
+    omega = (P0 + sqrt(d))/Q0 with the exact (P, Q) recurrence on
+    (P + sqrt(d))/Q.  The first later complete quotient with Q == Q0 is
+    reduced, so it equals omega plus an integer and closes the primitive
+    period; the last convergent p/q then gives the unit p - q*conj(omega).
     """
     d = field.d
     s = math.isqrt(d)
-    P, Q = _cf_generator_start(field)
-    # convergent matrix M_n = [[p_{n-1}, p_{n-2}], [q_{n-1}, q_{n-2}]]
-    p1, p0 = 1, 0
+    P0, Q0 = _cf_generator_start(field)
+    P, Q = P0, Q0
+    p1, p0 = 1, 0  # the last two convergents p_n/q_n
     q1, q0 = 0, 1
-    seen: dict[tuple[int, int], tuple[int, int, int, int, int]] = {}
-    step = 0
     while True:
-        state = (P, Q)
-        if state in seen:
-            i, a1, a0, b1, b0 = seen[state]
-            det = -1 if i % 2 else 1
-            # T = M_i^{-1} M_step fixes alpha_i; its bottom row gives the unit
-            c = det * (-b1 * p1 + a1 * q1)
-            d0 = det * (-b1 * p0 + a1 * q0)
-            unit = _from_rational(field, c * P + d0 * Q, c, Q)
-            unit = QuadInt(abs(unit.u), abs(unit.v), unit.den, field)
-            if abs(qi_norm(unit)) != 1 or unit.is_one():
-                raise DefectError(f"continued fraction of sqrt({d}) lost the unit")
-            return unit
-        seen[state] = (step, p1, p0, q1, q0)
         a = (P + s) // Q
         p1, p0 = a * p1 + p0, p1
         q1, q0 = a * q1 + q0, q1
         P = a * Q - P
         Q = (d - P * P) // Q
-        step += 1
+        if Q == Q0:
+            break
+    unit = _from_rational(field, Q0 * p1 - P0 * q1, q1, Q0)
+    if abs(qi_norm(unit)) != 1 or unit.is_one():
+        raise DefectError(f"continued fraction of sqrt({d}) lost the unit")
+    return unit
 
 
 def unit_norm_sign(field: QuadraticField) -> int:

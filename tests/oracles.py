@@ -66,6 +66,41 @@ def brute_fundamental_unit(d: int) -> tuple[int, int, int]:
             return min(candidates)
 
 
+def state_table_fundamental_unit(d: int) -> tuple[int, int, int]:
+    """Smallest unit > 1 of the ring of integers of Q(sqrt(d)), as
+    (u, v, den), by the slow route: the continued fraction of the standard
+    generator, with every (P, Q) state kept in a table.
+
+    The first repeated state closes the primitive period, and the
+    convergent matrices around the cycle fix the generator, producing the
+    unit as an eigenvalue.  Practical far beyond the brute force.
+    """
+    s = math.isqrt(d)
+    P, Q = (1, 2) if d % 4 == 1 else (0, 1)
+    # convergent matrix M_n = [[p_{n-1}, p_{n-2}], [q_{n-1}, q_{n-2}]]
+    p1, p0 = 1, 0
+    q1, q0 = 0, 1
+    seen: dict[tuple[int, int], tuple[int, int, int, int, int]] = {}
+    step = 0
+    while (P, Q) not in seen:
+        seen[(P, Q)] = (step, p1, p0, q1, q0)
+        a = (P + s) // Q
+        p1, p0 = a * p1 + p0, p1
+        q1, q0 = a * q1 + q0, q1
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        step += 1
+    i, a1, _, b1, _ = seen[(P, Q)]
+    det = -1 if i % 2 else 1
+    # T = M_i^{-1} M_step fixes alpha_i; its bottom row gives the unit
+    c = det * (-b1 * p1 + a1 * q1)
+    d0 = det * (-b1 * p0 + a1 * q0)
+    # (c*P + d0*Q + c*sqrt(d))/Q, cut down to the canonical den in {1, 2}
+    u, v, den = c * P + d0 * Q, c, Q
+    g = math.gcd(math.gcd(u, v), den)
+    return abs(u // g), abs(v // g), den // g
+
+
 def brute_unit_norm(d: int) -> int:
     u, v, den = brute_fundamental_unit(d)
     return (u * u - d * v * v) // (den * den)

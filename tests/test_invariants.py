@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -215,8 +217,7 @@ def test_distinct_fields_scan_raises_defects(monkeypatch):
 
 
 def test_invariant_report_defect_guards():
-    f = fam(3, 2)
-    report, notes = invariants.build_report(f)
+    report, notes = invariants.build_report(invariants.field_context(fam(3, 2)))
     assert notes == []
     assert report.n2 == 2
     assert report.an_prediction == 3
@@ -240,18 +241,85 @@ def test_invariant_report_defect_guards():
 def test_build_report_strict_precision():
     f = fam(3, 2)
     with pytest.raises(PrecisionExhausted):
-        invariants.build_report(f, cap=1, strict=True)
-    report, notes = invariants.build_report(f, cap=1, strict=False)
+        invariants.field_context(f, cap=1, strict=True)
+    report, notes = invariants.build_report(invariants.field_context(f, cap=1, strict=False))
     assert report.n2 is None
     assert "precision exhausted" in notes
 
 
 def test_build_report_ceiling_note():
     f = fam(3, 2)
-    report, notes = invariants.build_report(f, classno_ceiling=10)
+    report, notes = invariants.build_report(invariants.field_context(f, classno_ceiling=10))
     assert report.class_number is None
     assert report.h_val_p is None
     assert "class number ceiling" in notes
     # the verdict never leans on the uncomputed value
     assert report.p_rational_verdict == invariants.NON_P_RATIONAL
     assert report.greenberg_verdict == invariants.INCONCLUSIVE
+
+
+class _Refused:
+    """Stands in for a module that build_report must not reach."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __getattr__(self, attr):
+        raise AssertionError(f"build_report reached {self.name}.{attr}")
+
+
+def test_build_report_reads_only_the_context(monkeypatch):
+    ctx = invariants.field_context(fam(3, 2))
+    expected = invariants.build_report(ctx)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_report computed a field quantity")
+
+    patched = []
+    for name, value in list(vars(invariants).items()):
+        if value is padic or value is classno:
+            monkeypatch.setattr(invariants, name, _Refused(name))
+        elif getattr(value, "__module__", None) == qf.__name__:
+            monkeypatch.setattr(invariants, name, refuse)
+        else:
+            continue
+        patched.append(name)
+    assert {"padic", "classno", "fundamental_unit", "element", "qi_norm"} <= set(patched)
+    assert invariants.build_report(ctx) == expected
+
+
+def test_build_report_gates_on_the_context():
+    # (3, 2): h = 4, n2 = 2, inside the bound; each gate is driven by one field
+    ctx = invariants.field_context(fam(3, 2))
+    assert ctx.unit_congruence and ctx.gen_order == 1 and ctx.m_bound_ok
+    with pytest.raises(DefectError):
+        invariants.build_report(replace(ctx, unit_congruence=False))
+    report, _ = invariants.build_report(replace(ctx, unit_congruence=False, m_bound_ok=False))
+    assert report.p_rational_verdict == invariants.INCONCLUSIVE
+
+    for gen_order, n1 in [(2, invariants.N1_REFUTED), (None, invariants.N1_UNKNOWN)]:
+        report, notes = invariants.build_report(replace(ctx, gen_order=gen_order))
+        assert (report.n1_is_one, report.greenberg_verdict) == (n1, invariants.INCONCLUSIVE)
+        assert report.an_prediction is None
+        assert notes == [f"greenberg inconclusive: n1 certificate {n1}"]
+
+    report, _ = invariants.build_report(replace(ctx, class_number=12))
+    assert (report.h_val_p, report.greenberg_reason) == (1, "p divides class number")
+    assert report.greenberg_verdict == invariants.INCONCLUSIVE
+
+
+def test_generator_order_resolves_wherever_n2_does():
+    # b*s = 1 makes the generator 2 mod p**min(k, 2r), so its order is
+    # v_p(2**(p-1) - 1): 1, or 2 at the Wieferich primes.  n2 = r >= 2
+    # resolved means k >= r + 1 >= 3, where that order is already visible
+    cells = [(p, r) for p in (3, 5, 7, 11, 13) for r in range(2, 7)]
+    cells += [(1093, 2), (3511, 2)]
+    resolved = 0
+    for p, r in cells:
+        f = fam(p, r)
+        for cap in range(1, 16):
+            ctx = invariants.field_context(f, cap=cap, compute_h=False)
+            if ctx.n2 is not None:
+                assert ctx.gen_order is not None, (p, r, cap)
+                resolved += 1
+    assert resolved == 301

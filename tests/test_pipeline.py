@@ -68,7 +68,7 @@ def test_field_context_holds_the_field_quantities():
     fam = qf.construct_family(3, 2)
     ctx = invariants.field_context(fam)
     assert (ctx.eps.u, ctx.eps.v, ctx.eps.den) == (9, 1, 1)
-    assert (ctx.unit_norm, ctx.t_index, ctx.m_bound_ok) == (-1, (1, 1), True)
+    assert (ctx.unit_norm, ctx.t_is_fundamental, ctx.m_bound_ok) == (-1, True, True)
     assert (ctx.n2, ctx.class_number, ctx.h_missing) == (2, 4, None)
     assert ctx.embedding.k == 8  # the working precision, under the default cap
     assert invariants.field_context(fam, h=7).class_number == 7
@@ -91,8 +91,8 @@ def test_defect_gate_fires_inside_the_bound_only(monkeypatch):
         return False
     monkeypatch.setattr(padic, "power_is_one_mod", never_one)
     with pytest.raises(DefectError):
-        invariants.build_report(qf.construct_family(3, 2, 1))
-    report, _ = invariants.build_report(qf.construct_family(3, 2, 2))
+        invariants.build_report(invariants.field_context(qf.construct_family(3, 2, 1)))
+    report, _ = invariants.build_report(invariants.field_context(qf.construct_family(3, 2, 2)))
     assert report.p_rational_verdict == invariants.INCONCLUSIVE
 
 

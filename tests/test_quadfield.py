@@ -4,7 +4,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from oracles import brute_fundamental_unit, brute_unit_norm, squarefree_split
+from oracles import (brute_fundamental_unit, brute_unit_norm, squarefree_split,
+                     state_table_fundamental_unit)
 
 from pellrat import quadfield as qf
 from pellrat.errors import DefectError, NotAUnit
@@ -144,6 +145,19 @@ def test_fundamental_unit_matches_brute_oracle_below_100():
         eps = qf.fundamental_unit(field(d))
         assert (eps.u, eps.v, eps.den) == brute_fundamental_unit(d), d
         assert qf.unit_norm_sign(field(d)) == brute_unit_norm(d), d
+
+
+def test_fundamental_unit_matches_the_state_table_below_5000():
+    # the slow route keeps every (P, Q) state and closes on a repeat; the
+    # fast one closes on the first later Q equal to the generator's
+    checked = 0
+    for d in range(2, 5000):
+        if squarefree_split(d)[0] != 1:
+            continue
+        eps = qf.fundamental_unit(field(d))
+        assert (eps.u, eps.v, eps.den) == state_table_fundamental_unit(d), d
+        checked += 1
+    assert checked == 3041
 
 
 @given(st.sampled_from(SQUAREFREE), st.integers(min_value=1, max_value=6),
