@@ -268,7 +268,7 @@ class FieldContext:
     """The per-field quantities both verdicts read, each computed once.
 
     ``unit_congruence`` says whether eps**(p-1) = 1 mod p**2 in O_K.
-    ``n2`` is eps's congruence order along the capped family ``embedding``,
+    ``n2`` is eps's congruence order along the capped family embedding,
     and ``gen_order`` that of the generator b*sqrt(d) + 1 (m = 1 only);
     each is None when the precision cap ran out.  ``h_missing`` says why h
     is None.
@@ -280,7 +280,6 @@ class FieldContext:
     t_is_fundamental: bool
     m_bound_ok: bool
     unit_congruence: bool
-    embedding: padic.SplitPrimeEmbedding
     n2: int | None
     gen_order: int | None
     class_number: int | None
@@ -330,7 +329,7 @@ def field_context(fam: FamilyField,
     return FieldContext(
         family=fam, eps=eps, unit_norm=qi_norm(eps), t_is_fundamental=fam.t == eps,
         m_bound_ok=m_bound_satisfied(fam.p, fam.r, fam.m),
-        unit_congruence=unit_congruence, embedding=emb, n2=n2, gen_order=gen_order,
+        unit_congruence=unit_congruence, n2=n2, gen_order=gen_order,
         class_number=h, h_missing=h_missing)
 
 

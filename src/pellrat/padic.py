@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intkit
-from .errors import NoEmbedding, PrecisionExhausted
-from .quadfield import FamilyField, QuadInt, QuadraticField
+from .errors import DefectError, NoEmbedding, PrecisionExhausted
+from .quadfield import FamilyField, QuadInt, QuadraticField, qi_norm
 
 DEFAULT_PRECISION_CAP = 64  # digits base p
 
@@ -82,24 +82,25 @@ def family_embedding(fam: FamilyField, k: int | None = None,
                      branch: str = PRIMARY) -> SplitPrimeEmbedding:
     """Embedding normalized for the field family.
 
-    The primary branch is the root with b*s = 1 mod p**min(k, 2r); along it
-    b*sqrt(d) - 1 generates the full p**2r part, which pins the prime the
-    invariants are measured against.  The two roots satisfy b*s = +-1, so
+    The primary branch is the root s = 1/b mod p**min(k, 2r), lifted to
+    p**k; along it b*sqrt(d) - 1 generates the full p**2r part, which pins
+    the prime the invariants are measured against.  b**2 * d = N = 1 mod
+    p**2r makes 1/b a square root of d there, and the lift stays on it, so
     the normalization picks the same branch at every precision.
     """
     if branch not in (PRIMARY, CONJUGATE):
         raise ValueError("branch must be 'primary' or 'conjugate'")
     if k is None:
         k = max(8, 2 * fam.r + 2)
-    s = hensel_sqrt(fam.d, fam.p, k)
-    mod = fam.p ** min(k, 2 * fam.r)
-    if fam.b * s % mod != 1 % mod:
-        s = fam.p**k - s
-    if fam.b * s % mod != 1 % mod:
-        raise NoEmbedding("no branch satisfies the family normalization")
+    if k < 1:
+        raise ValueError("precision k must be >= 1")
+    p, j = fam.p, min(k, 2 * fam.r)
+    s = _lift_sqrt(pow(fam.b, -1, p**j), fam.d, p, j, k)
+    if (s * s - fam.d) % p**k:
+        raise DefectError(f"1/b is not a square root of {fam.d} mod {p}^{k}")
     if branch == CONJUGATE:
-        s = fam.p**k - s
-    return SplitPrimeEmbedding(p=fam.p, k=k, s=s, branch=branch, field=fam.field)
+        s = p**k - s
+    return SplitPrimeEmbedding(p=p, k=k, s=s, branch=branch, field=fam.field)
 
 
 def raise_precision(emb: SplitPrimeEmbedding, k: int) -> SplitPrimeEmbedding:
@@ -164,8 +165,6 @@ def congruence_order(x: QuadInt, emb: SplitPrimeEmbedding,
 def unit_congruence_order(t: QuadInt, emb: SplitPrimeEmbedding,
                           cap: int = DEFAULT_PRECISION_CAP) -> int:
     """congruence_order restricted to units (|norm| = 1)."""
-    from .quadfield import qi_norm
-
     if abs(qi_norm(t)) != 1:
         raise ValueError("unit_congruence_order requires a unit")
     return congruence_order(t, emb, cap)

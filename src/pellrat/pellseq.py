@@ -6,7 +6,11 @@ Negative indices are the exact ring powers of (1 + sqrt(2))**-1 = sqrt(2) - 1,
 so G_{-n} = (-1)**n G_n and F_{-n} = (-1)**(n+1) F_n.
 
 The gcd structure of G and the emptiness of prime-power searches in it are
-the observable content of the appendix-style divisibility results.
+the observable content of the appendix-style divisibility results.  The
+search also guards the field family: for m = 1 the field is Q(sqrt(2))
+exactly when p**(2r) + 1 = 2 b**2, that is, when p**r + b*sqrt(2) is an odd
+power of 1 + sqrt(2) and so G_n = p**r.  d = 2 is the one field that the
+n2 = r check exempts.
 """
 
 from __future__ import annotations
@@ -108,21 +112,24 @@ def g_gcd_oracle(l: int, m: int) -> int:
 def prime_power_search(p: int, n_max: int) -> list[tuple[int, int]]:
     """All (n, e) with 0 <= n <= n_max, G_n == p**e and e >= 2.
 
-    G is streamed, never held whole; a hit must be a pure power of p, so
-    the scan filters on divisibility by p first and then certifies the full
-    power exactly.  More than one hit contradicts the uniqueness result
-    for p-power values, so that raises DefectError.
+    G is streamed, never held whole, and one power p**e is walked beside
+    it: before each G_n is compared, the power is multiplied by p while it
+    is below G_n.  G never decreases (1, 1, 3, 7, ...), so the power is
+    always the least power of p at or above G_n and none is skipped; the
+    equality G_n == p**e is the certificate of a hit.  More than one hit
+    contradicts the uniqueness result for p-power values, so that raises
+    DefectError.
     """
     if p < 3 or not intkit.is_prime(p):
         raise ValueError("p must be an odd prime")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     hits: list[tuple[int, int]] = []
+    power, e = 1, 0
     for n, g in enumerate(g_values(n_max)):
-        if g % p:
-            continue
-        e = intkit.valuation(g, p)
-        if e >= 2 and p**e == g:
+        while power < g:
+            power, e = power * p, e + 1
+        if power == g and e >= 2:
             hits.append((n, e))
     if len(hits) >= 2:
         raise DefectError(f"multiple pure {p}-power values in G: {hits}")

@@ -282,3 +282,18 @@ def slow_pell(n: int) -> tuple[int, int]:
         g0, g1 = g1 - 2 * g0, g0
         f0, f1 = f1 - 2 * f0, f0
     return g0, f0
+
+
+def slow_prime_power_hits(p: int, n_max: int) -> list[tuple[int, int]]:
+    """(n, e) with G_n = p**e and e >= 2 for 0 <= n <= n_max: G from the
+    recurrence, each value tested by repeated division by p."""
+    hits = []
+    g0, g1 = 1, 1
+    for n in range(n_max + 1):
+        x, e = g0, 0
+        while x % p == 0:
+            x, e = x // p, e + 1
+        if x == 1 and e >= 2:
+            hits.append((n, e))
+        g0, g1 = g1, 2 * g1 + g0
+    return hits

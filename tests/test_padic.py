@@ -84,6 +84,26 @@ def test_family_embedding_normalization():
         assert (emb.s + conj.s) % p**emb.k == 0
 
 
+def test_family_root_is_the_selected_hensel_root():
+    # 1/b lifted to p**k against the former selection: the smallest Hensel
+    # root, flipped to the other one unless b*s = 1 mod p**min(k, 2r)
+    cells = [(p, r, m) for p in SMALL_ODD_PRIMES for r in range(2, 7) for m in (1, 2, 4)]
+    cells += [(1093, 2, m) for m in (1, 2, 4)]
+    pairs = 0
+    for p, r, m in cells:
+        fam = qf.construct_family(p, r, m)
+        for k in [*range(1, 3 * r + 4), 64]:
+            want = padic.hensel_sqrt(fam.d, p, k)
+            mod = p ** min(k, 2 * r)
+            if fam.b * want % mod != 1 % mod:
+                want = p**k - want
+            assert padic.family_embedding(fam, k).s == want, (p, r, m, k)
+            conj = padic.family_embedding(fam, k, branch=padic.CONJUGATE)
+            assert conj.s == p**k - want
+            pairs += 1
+    assert pairs == 1230
+
+
 def test_family_valuations_of_t_generators():
     # (b sqrt(d) - 1)(b sqrt(d) + 1) = m^2 p^(2r): all of it on one branch
     for (p, r, m) in [(3, 2, 1), (3, 3, 1), (5, 2, 1), (7, 2, 1), (3, 2, 2)]:

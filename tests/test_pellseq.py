@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import slow_pell
+from oracles import slow_pell, slow_prime_power_hits
 
 from pellrat import pellseq
 from pellrat.errors import DefectError
@@ -87,6 +87,13 @@ def test_prime_power_search_empty_for_small_primes():
         assert pellseq.prime_power_search(p, 500) == []
 
 
+def test_prime_power_search_matches_division_oracle():
+    # the walked power against repeated division, every odd prime below 200
+    for p in range(3, 200, 2):
+        if all(p % q for q in range(3, p, 2)):
+            assert pellseq.prime_power_search(p, 3000) == slow_prime_power_hits(p, 3000)
+
+
 def test_prime_power_search_validates():
     with pytest.raises(ValueError):
         pellseq.prime_power_search(4, 100)
@@ -106,6 +113,17 @@ def test_prime_power_search_finds_planted_hit(monkeypatch):
 
     monkeypatch.setattr(pellseq, "g_values", fake_sequence)
     assert pellseq.prime_power_search(3, 5) == [(4, 3)]
+
+
+def test_prime_power_search_finds_planted_square(monkeypatch):
+    # the smallest exponent that counts: G_3 = 3**2, after G_2 = 3**1
+    fake = [1, 1, 3, 9, 17, 41]
+
+    def fake_sequence(n_max):
+        return fake[: n_max + 1]
+
+    monkeypatch.setattr(pellseq, "g_values", fake_sequence)
+    assert pellseq.prime_power_search(3, 5) == [(3, 2)]
 
 
 def test_prime_power_search_two_hits_is_a_defect(monkeypatch):

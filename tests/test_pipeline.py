@@ -64,13 +64,21 @@ def test_one_record_computes_each_field_quantity_once(monkeypatch):
     assert all(n <= 1 for n in counts.values()), counts
 
 
-def test_field_context_holds_the_field_quantities():
+def test_field_context_holds_the_field_quantities(monkeypatch):
     fam = qf.construct_family(3, 2)
+    precisions = []
+    embedding = padic.family_embedding
+
+    def recorded(fam, k=None, **kwargs):
+        precisions.append(k)
+        return embedding(fam, k, **kwargs)
+
+    monkeypatch.setattr(padic, "family_embedding", recorded)
     ctx = invariants.field_context(fam)
     assert (ctx.eps.u, ctx.eps.v, ctx.eps.den) == (9, 1, 1)
     assert (ctx.unit_norm, ctx.t_is_fundamental, ctx.m_bound_ok) == (-1, True, True)
     assert (ctx.n2, ctx.class_number, ctx.h_missing) == (2, 4, None)
-    assert ctx.embedding.k == 8  # the working precision, under the default cap
+    assert precisions == [8]  # the working precision, under the default cap
     assert invariants.field_context(fam, h=7).class_number == 7
     skipped = invariants.field_context(fam, compute_h=False)
     assert skipped.class_number is None and skipped.h_missing
