@@ -132,15 +132,28 @@ def reduced_forms(disc: int) -> list[Form]:
     return forms
 
 
-def _log2_fraction(y: int, up: bool) -> int:
-    """Bound on log2(y / 2**_BITS) * 2**_BITS for 2**_BITS <= y <= 2**(_BITS+1).
+def _log2_bound(x: int, up: bool) -> int:
+    """Bound on log2(x) * 2**_BITS for an int x >= 1: a lower bound, or an
+    upper bound when ``up`` is set.
 
-    Binary digits by repeated squaring: y/2**_BITS is in [1, 2], and a
-    square at 2 or above yields a 1 bit and is halved.  Rounding every
-    square down keeps each step's value at or below the exact one, so the
-    digits read a lower bound; rounding up keeps it at or above, and the
-    digits plus one unit in the last place are an upper bound.
+    The integer part comes from the bit length, the fraction from the top
+    _BITS + 1 bits of x, rounded the way of the bound, as binary digits by
+    repeated squaring: y/2**_BITS is in [1, 2], and a square at 2 or above
+    yields a 1 bit and is halved.  Rounding every square down keeps each
+    step's value at or below the exact one, so the digits read a lower
+    bound; rounding up keeps it at or above, and the digits plus one unit
+    in the last place are an upper bound.  Each bound is within 6 units in
+    the last place of the exact value: every rounding is at most 2**-_BITS
+    relative, and the squarings' losses halve step by step.
     """
+    n = x.bit_length() - 1
+    shift = n - _BITS
+    if shift > 0:
+        y = x >> shift
+        if up and y << shift != x:
+            y += 1
+    else:
+        y = x << -shift
     two, bits = 2 << _BITS, 0
     for _ in range(_BITS):
         y *= y
@@ -149,26 +162,7 @@ def _log2_fraction(y: int, up: bool) -> int:
         if y >= two:
             bits |= 1
             y = -(-y >> 1) if up else y >> 1
-    return bits + up
-
-
-def _log2_bounds(x: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= log2(x) * 2**_BITS <= hi, for an int x >= 1.
-
-    The integer part comes from the bit length, the fraction from the top
-    _BITS + 1 bits of x, rounded down for lo and up for hi.  Each bound is
-    within 6 units in the last place of the exact value: every rounding is
-    at most 2**-_BITS relative, and the squarings' losses halve step by step.
-    """
-    n = x.bit_length() - 1
-    shift = n - _BITS
-    if shift > 0:
-        y = x >> shift
-        y_up = y + (y << shift != x)
-    else:
-        y = y_up = x << -shift
-    return ((n << _BITS) + _log2_fraction(y, False),
-            (n << _BITS) + _log2_fraction(y_up, True))
+    return (n << _BITS) + bits + up
 
 
 def _distance_bounds(disc: int, s: int) -> tuple[int, int]:
@@ -200,8 +194,8 @@ def _distance_bounds(disc: int, s: int) -> tuple[int, int]:
             lo >>= extra
             hi = -(-hi >> extra)
             e += extra
-    return (2 * (_log2_bounds(lo)[0] + (e << _BITS)),
-            2 * (_log2_bounds(hi)[1] + (e << _BITS)))
+    return (2 * (_log2_bound(lo, False) + (e << _BITS)),
+            2 * (_log2_bound(hi, True) + (e << _BITS)))
 
 
 def narrow_class_number(disc: int, ceiling: int = DEFAULT_DISC_CEILING,
@@ -226,8 +220,8 @@ def narrow_class_number(disc: int, ceiling: int = DEFAULT_DISC_CEILING,
     plus = eps if qi_norm(eps) == 1 else eps * eps
     num = (plus.u << _BITS) + math.isqrt(plus.v * plus.v * plus.field.d << 2 * _BITS)
     y = num // plus.den  # eps+ * 2**_BITS lies in [y, y + 1)
-    r_lo = _log2_bounds(y)[0] - (_BITS << _BITS)
-    r_hi = _log2_bounds(y + 1)[1] - (_BITS << _BITS)
+    r_lo = _log2_bound(y, False) - (_BITS << _BITS)
+    r_hi = _log2_bound(y + 1, True) - (_BITS << _BITS)
     s_lo, s_hi = _distance_bounds(disc, s)
     first, last = -(-s_lo // r_hi), s_hi // r_lo
     if first != last or first < 1:

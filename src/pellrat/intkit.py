@@ -1,4 +1,5 @@
-"""Exact integer primitives: primality, factorization, symbols, valuations.
+"""Exact integer primitives: primality, factorization, symbols, valuations,
+and the one square-and-multiply loop that the ring powers share.
 
 Everything here is pure and deterministic.  The factoring budget is an
 explicit argument so callers can trade effort for completeness; an
@@ -142,6 +143,25 @@ def primes_up_to(n: int) -> list[int]:
     return list(itertools.compress(range(n + 1), sieve))
 
 
+def binary_power(mul, one, x, e: int):
+    """x**e for an int e >= 0 by square-and-multiply, where ``mul`` is the
+    product and ``one`` its identity; e = 0 gives ``one`` itself.
+
+    >>> binary_power(lambda a, b: a * b % 1000, 1, 7, 10)
+    249
+    """
+    if e < 0:  # e >> 1 stays -1, so the loop would never end
+        raise ValueError("exponent must be >= 0")
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+        if e:  # the square past the top bit would go unused
+            x = mul(x, x)
+    return result
+
+
 def valuation(n: int, p: int) -> int:
     """Largest e with p**e dividing n (n != 0)."""
     if n == 0:
@@ -201,14 +221,11 @@ def perfect_power(n: int):
     if n < 2:
         raise ValueError("perfect_power requires n >= 2")
     x, d = n, 1
-    q = 2
-    while q <= x.bit_length():
-        if is_prime(q):
+    for q in primes_up_to(n.bit_length()):
+        r = _iroot(x, q)
+        while r**q == x:  # the same prime can divide d again
+            x, d = r, d * q
             r = _iroot(x, q)
-            if r**q == x:
-                x, d = r, d * q
-                continue  # the same prime can divide d again
-        q += 1
     return (x, d) if d >= 2 else None
 
 

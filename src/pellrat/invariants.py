@@ -296,7 +296,8 @@ def field_context(fam: FamilyField,
     A class number passed as ``h`` is used as given.  Otherwise it is
     computed up to ``classno_ceiling``, or not at all when ``compute_h`` is
     unset.  With ``strict`` set, precision exhaustion propagates instead of
-    leaving ``n2`` or ``gen_order`` empty.
+    leaving ``n2`` or ``gen_order`` empty.  A resolved ``n2`` is checked
+    against ``unit_congruence``, and DefectError is raised if they disagree.
     """
     eps = fundamental_unit(fam.field)
     # the defect gate inside the bound lives in the check itself
@@ -314,6 +315,13 @@ def field_context(fam: FamilyField,
             return None
 
     n2 = order(padic.unit_congruence_order, eps)
+    # p splits unramified and conj(eps) = +-1/eps with p - 1 even, so
+    # eps**(p-1) - 1 has one valuation at both primes above p: the
+    # congruence mod p**2 holds exactly when n2 >= 2
+    if n2 is not None and (n2 >= 2) != unit_congruence:
+        raise DefectError(
+            f"unit congruence mod p^2 is {unit_congruence} but n2 = {n2} "
+            f"at (p={fam.p}, r={fam.r}, m={fam.m})")
     if fam.m == 1 and fam.d != 2 and n2 not in (None, fam.r):
         raise DefectError(f"n2 = {n2} != r = {fam.r} at (p={fam.p}, r={fam.r}, m=1)")
     gen = element(fam.field, 1, fam.b)  # b*sqrt(d) + 1

@@ -122,6 +122,19 @@ def embed(x: QuadInt, emb: SplitPrimeEmbedding) -> int:
     return val
 
 
+def _resolve(emb: SplitPrimeEmbedding, cap: int, what: str, residue) -> int:
+    # valuation of residue(emb), a residue mod p**k; precision doubles up to
+    # the cap while it reads 0, and the cap raises rather than truncates
+    while True:
+        c = residue(emb)
+        if c != 0:
+            return intkit.valuation(c, emb.p)
+        if emb.k >= cap:
+            raise PrecisionExhausted(
+                f"{what} at {emb.p} unresolved at precision {emb.k}")
+        emb = raise_precision(emb, min(2 * emb.k, cap))
+
+
 def pvaluation(x: QuadInt, emb: SplitPrimeEmbedding,
                cap: int = DEFAULT_PRECISION_CAP) -> int:
     """Valuation of x != 0 at the embedding's prime.
@@ -131,14 +144,7 @@ def pvaluation(x: QuadInt, emb: SplitPrimeEmbedding,
     """
     if x.u == 0 and x.v == 0:
         raise ValueError("valuation of zero is undefined")
-    while True:
-        c = embed(x, emb)
-        if c != 0:
-            return intkit.valuation(c, emb.p)
-        if emb.k >= cap:
-            raise PrecisionExhausted(
-                f"valuation at {emb.p} unresolved at precision {emb.k}")
-        emb = raise_precision(emb, min(2 * emb.k, cap))
+    return _resolve(emb, cap, "valuation", lambda e: embed(x, e))
 
 
 def congruence_order(x: QuadInt, emb: SplitPrimeEmbedding,
@@ -149,17 +155,14 @@ def congruence_order(x: QuadInt, emb: SplitPrimeEmbedding,
     power is taken on residues, never on exact ring elements.
     """
     p = emb.p
-    while True:
-        c = embed(x, emb)
+
+    def delta(e: SplitPrimeEmbedding) -> int:
+        c = embed(x, e)
         if c % p == 0:
             raise ValueError("x is not invertible at the prime")
-        delta = (pow(c, p - 1, emb.modulus) - 1) % emb.modulus
-        if delta != 0:
-            return intkit.valuation(delta, p)
-        if emb.k >= cap:
-            raise PrecisionExhausted(
-                f"congruence order at {p} unresolved at precision {emb.k}")
-        emb = raise_precision(emb, min(2 * emb.k, cap))
+        return (pow(c, p - 1, e.modulus) - 1) % e.modulus
+
+    return _resolve(emb, cap, "congruence order", delta)
 
 
 def unit_congruence_order(t: QuadInt, emb: SplitPrimeEmbedding,
@@ -189,44 +192,23 @@ def omega_coords(x: QuadInt) -> tuple[int, int]:
     return (x.u - x.v) // 2, x.v
 
 
-def _omega_square_rule(field: QuadraticField) -> tuple[int, int]:
-    # omega**2 = q0 + q1 * omega
-    if field.d % 4 == 1:
-        return (field.d - 1) // 4, 1
-    return field.d, 0
-
-
-def residue_pow(field: QuadraticField, coords: tuple[int, int], e: int,
-                modulus: int) -> tuple[int, int]:
-    """(a0 + a1*omega)**e in O_K / modulus, on coordinate pairs."""
-    q0, q1 = _omega_square_rule(field)
-
-    def mul(x, y):
-        a0, a1 = x
-        b0, b1 = y
-        cross = a1 * b1
-        return ((a0 * b0 + cross * q0) % modulus,
-                (a0 * b1 + a1 * b0 + cross * q1) % modulus)
-
-    result = (1 % modulus, 0)
-    base = (coords[0] % modulus, coords[1] % modulus)
-    while e:
-        if e & 1:
-            result = mul(result, base)
-        base = mul(base, base)
-        e >>= 1
-    return result
-
-
 def power_is_one_mod(x: QuadInt, e: int, modulus: int) -> bool:
     """x**e = 1 in O_K / modulus, via the quotient ring.
 
     Works for any odd modulus coprime to the denominator; no splitting
     assumption is needed, which makes this the independent cross-check for
-    the embedding route.
+    the embedding route.  Powers run on coordinate pairs in {1, omega}.
     """
     if modulus % 2 == 0:
         raise ValueError("modulus must be odd")
+    d = x.field.d
+    q0, q1 = ((d - 1) // 4, 1) if d % 4 == 1 else (d, 0)  # omega**2 = q0 + q1*omega
+
+    def mul(a, b):
+        cross = a[1] * b[1]
+        return ((a[0] * b[0] + cross * q0) % modulus,
+                (a[0] * b[1] + a[1] * b[0] + cross * q1) % modulus)
+
     a0, a1 = omega_coords(x)
-    r0, r1 = residue_pow(x.field, (a0, a1), e, modulus)
+    r0, r1 = intkit.binary_power(mul, (1 % modulus, 0), (a0 % modulus, a1 % modulus), e)
     return r0 == 1 % modulus and r1 == 0

@@ -42,14 +42,8 @@ def pell_pair(n: int) -> PellPair:
     PellPair(n=5, g=41, f=29)
     """
     base = (1, 1) if n >= 0 else (-1, 1)
-    e = abs(n)
-    acc = (1, 0)
-    while e:
-        if e & 1:
-            acc = _pair_mul(acc, base)
-        base = _pair_mul(base, base)
-        e >>= 1
-    return PellPair(n=n, g=acc[0], f=acc[1])
+    g, f = intkit.binary_power(_pair_mul, (1, 0), base, abs(n))
+    return PellPair(n=n, g=g, f=f)
 
 
 def g_values(n_max: int) -> Iterator[int]:

@@ -85,14 +85,7 @@ class QuadInt:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return intkit.binary_power(QuadInt.__mul__, one(self.field), self, e)
 
     def conj(self):
         return QuadInt(self.u, -self.v, self.den, self.field)

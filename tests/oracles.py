@@ -24,6 +24,16 @@ def trial_factor(n: int) -> dict[int, int]:
     return out
 
 
+def slow_perfect_power(n: int):
+    """(x, d) with n = x**d and d maximal, or None: d is the gcd of the
+    exponents of n's trial-division factorization."""
+    fs = trial_factor(n)
+    d = math.gcd(*fs.values())
+    if d < 2:
+        return None
+    return math.prod(p ** (e // d) for p, e in fs.items()), d
+
+
 def squarefree_split(n: int) -> tuple[int, int]:
     """(b, d) with n = b*b*d and d squarefree, by trial factorization."""
     b = d = 1

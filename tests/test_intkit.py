@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import squarefree_split, trial_factor
+from oracles import slow_perfect_power, squarefree_split, trial_factor
 
 from pellrat import intkit
 from pellrat.errors import IncompleteFactorization
@@ -87,6 +87,34 @@ def test_perfect_power_roundtrip(base, exp):
     assert hit is not None
     b, e = hit
     assert b**e == n and e >= exp
+    assert hit == slow_perfect_power(n)
+
+
+def test_perfect_power_matches_exponent_gcd_oracle():
+    for n in range(2, 20_000):
+        assert intkit.perfect_power(n) == slow_perfect_power(n), n
+
+
+@given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=0, max_value=300),
+       st.integers(min_value=1, max_value=10**4))
+def test_binary_power_matches_repeated_mul(m, e, x):
+    def mul(a, b):
+        return a * b % m
+
+    want = 1 % m
+    for _ in range(e):
+        want = mul(want, x)
+    assert intkit.binary_power(mul, 1 % m, x, e) == want
+
+
+def test_binary_power_of_exponent_zero_is_one():
+    one = object()
+    assert intkit.binary_power(None, one, 5, 0) is one
+
+
+def test_binary_power_refuses_a_negative_exponent():
+    with pytest.raises(ValueError):
+        intkit.binary_power(lambda a, b: a * b % 9, 1, 2, -1)
 
 
 @given(st.integers(min_value=2, max_value=10**7))

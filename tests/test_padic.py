@@ -137,8 +137,20 @@ def test_pvaluation_raises_at_cap():
     fam = qf.construct_family(3, 2, 1)
     emb = padic.family_embedding(fam, k=1)
     # 3^10 needs precision 11; cap of 4 must refuse, not truncate
-    with pytest.raises(PrecisionExhausted):
+    with pytest.raises(PrecisionExhausted) as exc:
         padic.pvaluation(qf.element(fam.field, 3**10, 0), emb, cap=4)
+    assert str(exc.value) == "valuation at 3 unresolved at precision 4"
+
+
+def test_congruence_order_raises_at_cap():
+    # n2 = 2 at (3, 2): eps**2 - 1 reads 0 mod 3 and mod 9, so a cap of 2 refuses
+    fam = qf.construct_family(3, 2, 1)
+    emb = padic.family_embedding(fam, k=1)
+    eps = qf.fundamental_unit(fam.field)
+    with pytest.raises(PrecisionExhausted) as exc:
+        padic.congruence_order(eps, emb, cap=2)
+    assert str(exc.value) == "congruence order at 3 unresolved at precision 2"
+    assert padic.congruence_order(eps, emb, cap=3) == 2
 
 
 def test_congruence_order_requires_invertible():

@@ -104,6 +104,23 @@ def test_defect_gate_fires_inside_the_bound_only(monkeypatch):
     assert report.p_rational_verdict == invariants.INCONCLUSIVE
 
 
+# (3, 2, 4) lies outside the coefficient bound, so no verdict gate fires
+# there; eps**2 = 1 mod 9 holds and n2 = 2, so only the comparison of the
+# two routes can catch one of them going wrong
+
+
+def test_quotient_ring_route_is_checked_against_n2(monkeypatch):
+    monkeypatch.setattr(padic, "power_is_one_mod", lambda *args: False)
+    with pytest.raises(DefectError, match="is False but n2 = 2 at"):
+        invariants.field_context(qf.construct_family(3, 2, 4))
+
+
+def test_n2_is_checked_against_the_quotient_ring_route(monkeypatch):
+    monkeypatch.setattr(padic, "unit_congruence_order", lambda *args: 1)
+    with pytest.raises(DefectError, match="is True but n2 = 1 at"):
+        invariants.field_context(qf.construct_family(3, 2, 4))
+
+
 @pytest.mark.parametrize("argv, golden", [
     (("scan", "--p", "3,5,7", "--r", "2..5", "--m", "one"), "scan_p357_r2-5_one.csv"),
     (("scan", "--p", "3,5,7", "--r", "2..5", "--m", "one", "--format", "json"),
