@@ -11,12 +11,10 @@ from .errors import (DefectError, DiscriminantTooLarge, IncompleteFactorization,
                      NoEmbedding, NotAUnit, PrecisionExhausted, ToolkitError)
 from .intkit import (Factorization, factor, is_prime, is_wieferich, jacobi,
                      perfect_power, squarefree_decompose, valuation)
-from .invariants import (CoatesLedger, DistinctFieldsReport, GreenbergResult,
-                         InvariantReport, build_report, coates_ledger,
-                         distinct_fields_scan, epsilon_congruence_check,
-                         fib_unit_equivalence, gen_fib, greenberg_verdict,
-                         lemma_n1_congruence, n1_certificate, n2_of,
-                         p_rationality_verdict)
+from .invariants import (CoatesLedger, InvariantReport, build_report, coates_ledger,
+                         epsilon_congruence_check, field_context,
+                         fib_unit_equivalence, gen_fib, lemma_n1_congruence,
+                         n1_certificate, n2_of)
 from .padic import (SplitPrimeEmbedding, congruence_order, family_embedding,
                     hensel_sqrt, power_is_one_mod, pvaluation, split_embedding,
                     unit_congruence_order)

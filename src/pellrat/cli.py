@@ -167,7 +167,8 @@ def compute_record(p: int, r: int, m: int, opts: PipelineOptions,
     return ScanRecord(
         p=p, r=r, m=m, N=fam.n, b=fam.b, D=fam.d, disc=fam.field.disc,
         unit=(eps.u, eps.v, eps.den), unit_norm=ctx.unit_norm,
-        t_is_fundamental=ctx.t_is_fundamental, splits=intkit.jacobi(fam.d, p) == 1,
+        t_is_fundamental=ctx.t_is_fundamental,
+        splits=True,  # construct_family raised DefectError unless p splits
         n2=report.n2, n1_is_one=report.n1_is_one, class_number=report.class_number,
         h_val_p=report.h_val_p, wieferich=report.wieferich, m_bound_ok=ctx.m_bound_ok,
         p_rational=report.p_rational_verdict, greenberg=report.greenberg_verdict,
@@ -451,18 +452,17 @@ def cmd_gseq(args) -> int:
         pair = pellseq.pell_pair(args.n)
         print(f"G={pair.g} F={pair.f}")
         return EXIT_OK
-    if args.gseq_command == "gcd":
-        if args.l < 1 or args.m < 1:
-            return _usage("gcd arguments must be >= 1")
-        print(pellseq.g_gcd(args.l, args.m))
-        return EXIT_OK
-    p, n_max = args.p, args.n_max
-    if p < 3 or p % 2 == 0 or not intkit.is_prime(p):
-        return _usage(f"p must be an odd prime, got {p}")
-    if n_max < 1:
-        return _usage(f"--max must be >= 1, got {n_max}")
-    hits = pellseq.prime_power_search(p, n_max)
-    print("\n".join(f"HIT: G_{n} = {p}^{e}" for n, e in hits) or "no solutions")
+    # the library validates its arguments; its ValueError is a usage error
+    try:
+        if args.gseq_command == "gcd":
+            print(pellseq.g_gcd(args.l, args.m))
+            return EXIT_OK
+        if args.n_max < 1:  # the search itself accepts 0
+            return _usage(f"--max must be >= 1, got {args.n_max}")
+        hits = pellseq.prime_power_search(args.p, args.n_max)
+    except ValueError as exc:
+        return _usage(str(exc))
+    print("\n".join(f"HIT: G_{n} = {args.p}^{e}" for n, e in hits) or "no solutions")
     return EXIT_OK
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from . import classno, intkit, padic
 from .errors import DefectError, DiscriminantTooLarge, PrecisionExhausted
-from .quadfield import (FamilyField, QuadInt, QuadraticField, construct_family,
-                        element, fundamental_unit, m_bound_satisfied, qi_norm)
+from .quadfield import (FamilyField, QuadInt, QuadraticField, element,
+                        fundamental_unit, m_bound_satisfied, qi_norm)
 
 N1_CERTIFIED = "certified"
 N1_REFUTED = "refuted"
@@ -45,7 +45,8 @@ def epsilon_congruence_check(fam: FamilyField, eps: QuadInt | None = None) -> bo
 def n2_of(fam: FamilyField, cap: int = padic.DEFAULT_PRECISION_CAP) -> int:
     """Residue order of the fundamental unit: v(eps**(p-1) - 1) at the
     family prime.  For m = 1 and d != 2 this must equal r."""
-    return field_context(fam, cap=cap, strict=True, compute_h=False).n2
+    # a ceiling of 0 refuses the class number before any work on it
+    return field_context(fam, classno_ceiling=0, cap=cap, strict=True).n2
 
 
 def lemma_n1_congruence(fam: FamilyField) -> bool:
@@ -185,52 +186,7 @@ def _ledger(p: int, h: int | None, unit_congruence: bool) -> CoatesLedger:
 
 
 # ---------------------------------------------------------------------------
-# field-distinctness scan
-
-
-@dataclass(frozen=True)
-class DistinctFieldsReport:
-    p: int
-    rows: tuple[tuple[int, int | None], ...]  # (r, d)
-    collisions: tuple[tuple[int, tuple[int, ...]], ...]  # (d, rs)
-    d2_rows: tuple[int, ...]
-    failures: tuple[tuple[int, str], ...]
-
-
-def distinct_fields_scan(p: int, r_max: int,
-                         effort: int = intkit.DEFAULT_FACTOR_EFFORT) -> DistinctFieldsReport:
-    """Radicands of the m = 1 family for r = 2 .. r_max.
-
-    Flags any repeated field and any occurrence of d = 2; factorization
-    failures are recorded per row and do not stop the scan.  A DefectError
-    is a bug, not a row, and propagates.
-    """
-    if r_max < 2:
-        raise ValueError("r_max must be >= 2")
-    rows: list[tuple[int, int | None]] = []
-    failures: list[tuple[int, str]] = []
-    by_d: dict[int, list[int]] = {}
-    d2: list[int] = []
-    for r in range(2, r_max + 1):
-        try:
-            fam = construct_family(p, r, 1, effort)
-        except DefectError:
-            raise
-        except Exception as exc:  # per-row failure, scan continues
-            rows.append((r, None))
-            failures.append((r, f"{type(exc).__name__}: {exc}"))
-            continue
-        rows.append((r, fam.d))
-        by_d.setdefault(fam.d, []).append(r)
-        if fam.d == 2:
-            d2.append(r)
-    collisions = tuple((d, tuple(rs)) for d, rs in sorted(by_d.items()) if len(rs) > 1)
-    return DistinctFieldsReport(p=p, rows=tuple(rows), collisions=collisions,
-                                d2_rows=tuple(d2), failures=tuple(failures))
-
-
-# ---------------------------------------------------------------------------
-# one family field: its context, the verdict path, and wrappers over it
+# one family field: its context and the verdict path
 
 
 @dataclass(frozen=True)
@@ -289,15 +245,14 @@ class FieldContext:
 def field_context(fam: FamilyField,
                   classno_ceiling: int = classno.DEFAULT_DISC_CEILING,
                   cap: int = padic.DEFAULT_PRECISION_CAP,
-                  strict: bool = False, h: int | None = None,
-                  compute_h: bool = True) -> FieldContext:
+                  strict: bool = False, h: int | None = None) -> FieldContext:
     """Compute the context of one family field.
 
     A class number passed as ``h`` is used as given.  Otherwise it is
-    computed up to ``classno_ceiling``, or not at all when ``compute_h`` is
-    unset.  With ``strict`` set, precision exhaustion propagates instead of
-    leaving ``n2`` or ``gen_order`` empty.  A resolved ``n2`` is checked
-    against ``unit_congruence``, and DefectError is raised if they disagree.
+    computed up to ``classno_ceiling``; a ceiling of 0 skips it.  With
+    ``strict`` set, precision exhaustion propagates instead of leaving
+    ``n2`` or ``gen_order`` empty.  A resolved ``n2`` is checked against
+    ``unit_congruence``, and DefectError is raised if they disagree.
     """
     eps = fundamental_unit(fam.field)
     # the defect gate inside the bound lives in the check itself
@@ -327,9 +282,7 @@ def field_context(fam: FamilyField,
     gen = element(fam.field, 1, fam.b)  # b*sqrt(d) + 1
     gen_order = order(padic.congruence_order, gen) if fam.m == 1 else None
     h_missing = None
-    if h is None and not compute_h:
-        h_missing = "class number not computed"
-    elif h is None:
+    if h is None:
         try:
             h = classno.class_number(fam.field, classno_ceiling, eps=eps)
         except DiscriminantTooLarge:
@@ -392,39 +345,3 @@ def build_report(ctx: FieldContext) -> tuple[InvariantReport, list[str]]:
         greenberg_verdict=greenberg, greenberg_reason=reason,
         an_prediction=prediction)
     return report, notes
-
-
-def p_rationality_verdict(p: int, r: int, m: int, h: int | None = None,
-                          effort: int = intkit.DEFAULT_FACTOR_EFFORT) -> str:
-    """build_report's p-rationality verdict, with the class number ``h``
-    as given: without it the ledger counts it as 0, and none is computed."""
-    fam = construct_family(p, r, m, effort)
-    report, _ = build_report(field_context(fam, h=h, compute_h=False))
-    return report.p_rational_verdict
-
-
-@dataclass(frozen=True)
-class GreenbergResult:
-    verdict: str
-    an_prediction: int | None
-    reason: str | None
-
-
-def greenberg_verdict(p: int, r: int, h: int | None = None,
-                      effort: int = intkit.DEFAULT_FACTOR_EFFORT,
-                      classno_ceiling: int = classno.DEFAULT_DISC_CEILING,
-                      cap: int = padic.DEFAULT_PRECISION_CAP) -> GreenbergResult:
-    """build_report's mu-lambda-zero verdict for the m = 1 field, with the
-    |A_n| prediction p**(n2 - 1) or the reason it is inconclusive.
-
-    ``h`` injects a class number; by default it is computed up to the
-    ceiling.  A Wieferich p ends the chain whatever the field, so it is
-    answered before a radicand that may not even factor is built.
-    """
-    if intkit.is_wieferich(p):
-        return GreenbergResult(INCONCLUSIVE, None, "Wieferich prime")
-    fam = construct_family(p, r, 1, effort)
-    ctx = field_context(fam, classno_ceiling, cap, strict=True, h=h)
-    report, _ = build_report(ctx)
-    return GreenbergResult(report.greenberg_verdict, report.an_prediction,
-                           report.greenberg_reason)

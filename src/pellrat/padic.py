@@ -3,8 +3,8 @@
 For an odd prime p with (d/p) = 1, a Hensel-lifted square root s of d mod
 p**k turns ring elements into residues: (u + v*sqrt(d))/den maps to
 (u + v*s) * den^{-1} mod p**k.  The two roots +-s are the two primes above
-p; the embedding records which branch it follows, and precision raises are
-Newton lifts of the same root, so the branch never silently flips.
+p; precision raises are Newton lifts of the embedding's own root, so the
+prime never silently flips.  The other prime is the root p**k - s.
 
 Congruences that only need modulus p**2 are also computed in the quotient
 ring (Z/p**2)[omega] without any lifting; the two routes are independent
@@ -20,9 +20,6 @@ from .errors import DefectError, NoEmbedding, PrecisionExhausted
 from .quadfield import FamilyField, QuadInt, QuadraticField, qi_norm
 
 DEFAULT_PRECISION_CAP = 64  # digits base p
-
-PRIMARY = "primary"
-CONJUGATE = "conjugate"
 
 
 def _lift_sqrt(s: int, d: int, p: int, k_from: int, k_to: int) -> int:
@@ -59,7 +56,6 @@ class SplitPrimeEmbedding:
     p: int
     k: int
     s: int  # s**2 = d mod p**k
-    branch: str
     field: QuadraticField
 
     @property
@@ -67,29 +63,20 @@ class SplitPrimeEmbedding:
         return self.p**self.k
 
 
-def split_embedding(field: QuadraticField, p: int, k: int,
-                    branch: str = PRIMARY) -> SplitPrimeEmbedding:
-    """Embedding along the branch fixed by the smaller lifted root."""
-    if branch not in (PRIMARY, CONJUGATE):
-        raise ValueError("branch must be 'primary' or 'conjugate'")
-    s = hensel_sqrt(field.d, p, k)
-    if branch == CONJUGATE:
-        s = p**k - s
-    return SplitPrimeEmbedding(p=p, k=k, s=s, branch=branch, field=field)
+def split_embedding(field: QuadraticField, p: int, k: int) -> SplitPrimeEmbedding:
+    """Embedding along the prime fixed by the smaller lifted root."""
+    return SplitPrimeEmbedding(p=p, k=k, s=hensel_sqrt(field.d, p, k), field=field)
 
 
-def family_embedding(fam: FamilyField, k: int | None = None,
-                     branch: str = PRIMARY) -> SplitPrimeEmbedding:
+def family_embedding(fam: FamilyField, k: int | None = None) -> SplitPrimeEmbedding:
     """Embedding normalized for the field family.
 
-    The primary branch is the root s = 1/b mod p**min(k, 2r), lifted to
-    p**k; along it b*sqrt(d) - 1 generates the full p**2r part, which pins
-    the prime the invariants are measured against.  b**2 * d = N = 1 mod
-    p**2r makes 1/b a square root of d there, and the lift stays on it, so
-    the normalization picks the same branch at every precision.
+    The root is s = 1/b mod p**min(k, 2r), lifted to p**k; along it
+    b*sqrt(d) - 1 generates the full p**2r part, which pins the prime the
+    invariants are measured against.  b**2 * d = N = 1 mod p**2r makes 1/b
+    a square root of d there, and the lift stays on it, so the
+    normalization picks the same prime at every precision.
     """
-    if branch not in (PRIMARY, CONJUGATE):
-        raise ValueError("branch must be 'primary' or 'conjugate'")
     if k is None:
         k = max(8, 2 * fam.r + 2)
     if k < 1:
@@ -98,21 +85,19 @@ def family_embedding(fam: FamilyField, k: int | None = None,
     s = _lift_sqrt(pow(fam.b, -1, p**j), fam.d, p, j, k)
     if (s * s - fam.d) % p**k:
         raise DefectError(f"1/b is not a square root of {fam.d} mod {p}^{k}")
-    if branch == CONJUGATE:
-        s = p**k - s
-    return SplitPrimeEmbedding(p=p, k=k, s=s, branch=branch, field=fam.field)
+    return SplitPrimeEmbedding(p=p, k=k, s=s, field=fam.field)
 
 
 def raise_precision(emb: SplitPrimeEmbedding, k: int) -> SplitPrimeEmbedding:
-    """Same branch, higher precision."""
+    """Same root, higher precision."""
     if k <= emb.k:
         return emb
     s = _lift_sqrt(emb.s, emb.field.d, emb.p, emb.k, k)
-    return SplitPrimeEmbedding(p=emb.p, k=k, s=s, branch=emb.branch, field=emb.field)
+    return SplitPrimeEmbedding(p=emb.p, k=k, s=s, field=emb.field)
 
 
 def embed(x: QuadInt, emb: SplitPrimeEmbedding) -> int:
-    """Residue of x in Z/p**k along the embedding's branch."""
+    """Residue of x in Z/p**k along the embedding's root."""
     if x.field != emb.field:
         raise ValueError("element of a different field")
     mod = emb.modulus

@@ -90,7 +90,7 @@ def g_gcd(l: int, m: int) -> int:
     otherwise.
     """
     if l < 1 or m < 1:
-        raise ValueError("indices must be >= 1")
+        raise ValueError("gcd arguments must be >= 1")
     if intkit.valuation(l, 2) == intkit.valuation(m, 2):
         return pell_pair(math.gcd(l, m)).g
     return 1
@@ -115,7 +115,7 @@ def prime_power_search(p: int, n_max: int) -> list[tuple[int, int]]:
     DefectError.
     """
     if p < 3 or not intkit.is_prime(p):
-        raise ValueError("p must be an odd prime")
+        raise ValueError(f"p must be an odd prime, got {p}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     hits: list[tuple[int, int]] = []

@@ -7,6 +7,7 @@ import pytest
 
 import pellrat
 from pellrat import cli, intkit
+from pellrat.errors import DefectError
 
 
 def run(capsys, *argv):
@@ -222,9 +223,21 @@ def test_gseq_outputs(capsys):
 
 def test_gseq_validation(capsys):
     code, _, err = run(capsys, "gseq", "gcd", "0", "2")
-    assert code == 1
+    assert (code, err) == (1, "error: gcd arguments must be >= 1\n")
     code, _, err = run(capsys, "gseq", "search", "--p", "4", "--max", "10")
-    assert code == 1
+    assert (code, err) == (1, "error: p must be an odd prime, got 4\n")
+    code, _, err = run(capsys, "gseq", "search", "--p", "3", "--max", "0")
+    assert (code, err) == (1, "error: --max must be >= 1, got 0\n")
+
+
+def test_scan_reraises_defect_error(capsys, monkeypatch):
+    # a defect is a bug, not a row: it must escape the scan loop
+    def broken(*args, **kwargs):
+        raise DefectError("family unit lost norm -1")
+
+    monkeypatch.setattr(cli, "construct_family", broken)
+    with pytest.raises(DefectError, match="lost norm"):
+        cli.entrypoint(["scan", "--p", "3", "--r", "2..3"])
 
 
 def test_factor_cache_round_trip(tmp_path):

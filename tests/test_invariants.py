@@ -1,10 +1,11 @@
+import csv
 from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pellrat import classno, invariants, padic
+from pellrat import classno, cli, invariants, padic
 from pellrat import quadfield as qf
 from pellrat.errors import DefectError, PrecisionExhausted
 
@@ -142,78 +143,87 @@ def test_coates_ledger_rejects_inert_prime():
         invariants.coates_ledger(qf.QuadraticField(10), 7)  # (10/7) = -1
 
 
+def p_rational(f):
+    # the ledger's verdict with the class number refused (ceiling 0)
+    report, _ = invariants.build_report(invariants.field_context(f, classno_ceiling=0))
+    return report.p_rational_verdict
+
+
+def greenberg(f, **kwargs):
+    report, _ = invariants.build_report(invariants.field_context(f, strict=True, **kwargs))
+    return report
+
+
 def test_p_rationality_verdict_on_grid():
     for p, r, m in [(3, 2, 1), (3, 3, 2), (5, 2, 3), (7, 2, 10)]:
-        assert invariants.p_rationality_verdict(p, r, m) == invariants.NON_P_RATIONAL
+        assert p_rational(fam(p, r, m)) == invariants.NON_P_RATIONAL
 
 
 def test_p_rationality_inconclusive_outside_bound():
     # same field as the weak-regulator ledger: (3, 2, 2) has eps = (3+sqrt(13))/2
-    assert invariants.p_rationality_verdict(3, 2, 2) == invariants.INCONCLUSIVE
+    assert p_rational(fam(3, 2, 2)) == invariants.INCONCLUSIVE
 
 
 def test_greenberg_verdict_anchor():
-    res = invariants.greenberg_verdict(3, 2)
-    assert res.verdict == invariants.MU_LAMBDA_ZERO
+    res = greenberg(fam(3, 2))
+    assert res.greenberg_verdict == invariants.MU_LAMBDA_ZERO
     assert res.an_prediction == 3
-    assert res.reason is None
+    assert res.greenberg_reason is None
 
 
 def test_greenberg_verdict_grid():
     for p, r, pred in [(3, 4, 27), (3, 5, 81), (5, 2, 5), (5, 3, 25),
                        (7, 2, 7), (7, 3, 49)]:
-        res = invariants.greenberg_verdict(p, r)
-        assert (res.verdict, res.an_prediction) == (invariants.MU_LAMBDA_ZERO, pred)
+        res = greenberg(fam(p, r))
+        assert (res.greenberg_verdict, res.an_prediction) == (invariants.MU_LAMBDA_ZERO, pred)
 
 
 def test_greenberg_inconclusive_when_p_divides_h():
-    res = invariants.greenberg_verdict(3, 3)
-    assert res.verdict == invariants.INCONCLUSIVE
+    res = greenberg(fam(3, 3))
+    assert res.greenberg_verdict == invariants.INCONCLUSIVE
     assert res.an_prediction is None
-    assert res.reason == "p divides class number"
+    assert res.greenberg_reason == "p divides class number"
 
 
 def test_greenberg_wieferich_gate_fires_first():
-    res = invariants.greenberg_verdict(1093, 2)
-    assert res.verdict == invariants.INCONCLUSIVE
-    assert res.reason == "Wieferich prime"
+    # 1093 is Wieferich and h lies past the ceiling: the Wieferich reason comes first
+    res = greenberg(fam(1093, 2))
+    assert res.greenberg_verdict == invariants.INCONCLUSIVE
+    assert res.greenberg_reason == "Wieferich prime"
 
 
 def test_greenberg_ceiling_is_inconclusive_not_wrong():
-    res = invariants.greenberg_verdict(7, 5, classno_ceiling=100)
-    assert res.verdict == invariants.INCONCLUSIVE
-    assert res.reason == "class number uncomputed"
+    res = greenberg(fam(7, 5), classno_ceiling=100)
+    assert res.greenberg_verdict == invariants.INCONCLUSIVE
+    assert res.greenberg_reason == "class number uncomputed"
 
 
 def test_greenberg_injected_h():
     # verdict branches on the injected class number without computing one
-    res = invariants.greenberg_verdict(3, 2, h=3)
-    assert res.verdict == invariants.INCONCLUSIVE
-    assert res.reason == "p divides class number"
+    res = greenberg(fam(3, 2), h=3)
+    assert res.greenberg_verdict == invariants.INCONCLUSIVE
+    assert res.greenberg_reason == "p divides class number"
 
 
-def test_distinct_fields_scan_on_3():
-    rep = invariants.distinct_fields_scan(3, 6)
-    assert rep.rows == ((2, 82), (3, 730), (4, 6562), (5, 2362), (6, 531442))
-    assert rep.collisions == ()
-    assert rep.d2_rows == ()
-    assert rep.failures == ()
+def scan_rows(capsys, *argv):
+    """The rows of a `pellrat scan --m one` CSV table, as dicts."""
+    assert cli.entrypoint(["scan", "--m", "one", *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return list(csv.DictReader(line for line in lines if not line.startswith("#")))
 
 
-def test_distinct_fields_scan_records_failures():
-    rep = invariants.distinct_fields_scan(3, 40, effort=4)
-    assert any(d is None for _, d in rep.rows)
-    assert rep.failures
-    assert all("IncompleteFactorization" in msg for _, msg in rep.failures)
+def test_distinct_fields_scan_on_3(capsys):
+    ds = [int(row["D"]) for row in scan_rows(capsys, "--p", "3", "--r", "2..6")]
+    assert ds == [82, 730, 6562, 2362, 531442]
+    assert len(set(ds)) == len(ds)
+    assert 2 not in ds
 
 
-def test_distinct_fields_scan_raises_defects(monkeypatch):
-    def broken(*args, **kwargs):
-        raise DefectError("family unit lost norm -1")
-
-    monkeypatch.setattr(invariants, "construct_family", broken)
-    with pytest.raises(DefectError):
-        invariants.distinct_fields_scan(3, 3)
+def test_distinct_fields_scan_records_failures(capsys):
+    rows = scan_rows(capsys, "--p", "3", "--r", "2..40", "--factor-effort", "4")
+    failed = [row for row in rows if row["D"] == ""]
+    assert len(rows) == 39 and failed
+    assert all(row["notes"] == "factorization incomplete" for row in failed)
 
 
 def test_invariant_report_defect_guards():
@@ -318,7 +328,7 @@ def test_generator_order_resolves_wherever_n2_does():
     for p, r in cells:
         f = fam(p, r)
         for cap in range(1, 16):
-            ctx = invariants.field_context(f, cap=cap, compute_h=False)
+            ctx = invariants.field_context(f, cap=cap, classno_ceiling=0)
             if ctx.n2 is not None:
                 assert ctx.gen_order is not None, (p, r, cap)
                 resolved += 1

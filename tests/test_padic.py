@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -38,9 +40,11 @@ def test_branches_are_complementary(pair, k):
     d, p = pair
     f = qf.QuadraticField(d)
     e1 = padic.split_embedding(f, p, k)
-    e2 = padic.split_embedding(f, p, k, branch=padic.CONJUGATE)
-    assert (e1.s + e2.s) % p**k == 0
+    e2 = replace(e1, s=p**k - e1.s)  # the other prime above p
+    assert (e2.s * e2.s - d) % p**k == 0
     assert e1.s != e2.s
+    x = qf.element(f, 2, 1)
+    assert padic.embed(x, e2) == padic.embed(x.conj(), e1)
 
 
 @given(st.sampled_from(split_pairs()), st.integers(min_value=1, max_value=6),
@@ -80,8 +84,8 @@ def test_family_embedding_normalization():
         emb = padic.family_embedding(fam)
         mod = p ** min(emb.k, 2 * r)
         assert fam.b * emb.s % mod == 1 % mod
-        conj = padic.family_embedding(fam, branch=padic.CONJUGATE)
-        assert (emb.s + conj.s) % p**emb.k == 0
+        # the other root p**k - s is -1/b: the other prime above p
+        assert fam.b * (p**emb.k - emb.s) % mod == -1 % mod
 
 
 def test_family_root_is_the_selected_hensel_root():
@@ -98,14 +102,13 @@ def test_family_root_is_the_selected_hensel_root():
             if fam.b * want % mod != 1 % mod:
                 want = p**k - want
             assert padic.family_embedding(fam, k).s == want, (p, r, m, k)
-            conj = padic.family_embedding(fam, k, branch=padic.CONJUGATE)
-            assert conj.s == p**k - want
             pairs += 1
     assert pairs == 1230
 
 
 def test_family_valuations_of_t_generators():
-    # (b sqrt(d) - 1)(b sqrt(d) + 1) = m^2 p^(2r): all of it on one branch
+    # (b sqrt(d) - 1)(b sqrt(d) + 1) = m^2 p^(2r): all of it at one prime;
+    # the other prime's valuation of x is the family prime's of conj(x)
     for (p, r, m) in [(3, 2, 1), (3, 3, 1), (5, 2, 1), (7, 2, 1), (3, 2, 2)]:
         fam = qf.construct_family(p, r, m)
         emb = padic.family_embedding(fam)
@@ -113,9 +116,8 @@ def test_family_valuations_of_t_generators():
         plus = qf.element(fam.field, 1, fam.b)
         assert padic.pvaluation(minus, emb) == 2 * r
         assert padic.pvaluation(plus, emb) == 0
-        conj = padic.family_embedding(fam, branch=padic.CONJUGATE)
-        assert padic.pvaluation(minus, conj) == 0
-        assert padic.pvaluation(plus, conj) == 2 * r
+        assert padic.pvaluation(minus.conj(), emb) == 0
+        assert padic.pvaluation(plus.conj(), emb) == 2 * r
 
 
 def test_pvaluation_of_rational_prime():
@@ -177,13 +179,13 @@ def test_unit_congruence_order_known_values():
 
 
 def test_branch_independence_for_units():
-    # unit orders agree on the two branches: conj(eps) = +-1/eps
+    # unit orders agree at the two primes above p: conj(eps) = +-1/eps
     cases = [(82, 3), (626, 5), (2, 7)]
     for d, p in cases:
         f = qf.QuadraticField(d)
         eps = qf.fundamental_unit(f)
         e1 = padic.split_embedding(f, p, 10)
-        e2 = padic.split_embedding(f, p, 10, branch=padic.CONJUGATE)
+        e2 = replace(e1, s=p**10 - e1.s)
         assert padic.unit_congruence_order(eps, e1) == padic.unit_congruence_order(eps, e2)
 
 
@@ -221,9 +223,8 @@ def test_power_is_one_matches_embeddings(pair, u, v, e):
     d, p = pair
     f = qf.QuadraticField(d)
     x = qf.element(f, u, v)
-    emb1 = padic.split_embedding(f, p, 2)
-    emb2 = padic.split_embedding(f, p, 2, branch=padic.CONJUGATE)
-    r1, r2 = padic.embed(x, emb1), padic.embed(x, emb2)
+    emb = padic.split_embedding(f, p, 2)
+    r1, r2 = padic.embed(x, emb), padic.embed(x.conj(), emb)  # both primes above p
     assume(r1 % p and r2 % p)
     by_embedding = (pow(r1, e, p * p) == 1) and (pow(r2, e, p * p) == 1)
     assert padic.power_is_one_mod(x, e, p * p) == by_embedding

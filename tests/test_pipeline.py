@@ -1,8 +1,8 @@
 """One context per family field, and the outputs and regressions around it.
 
-The golden files under tests/data/ are scan tables and a field report
-captured before the verdict logic moved behind `invariants.field_context`;
-they must stay byte-identical.
+The golden files under tests/data/ are scan tables and field reports
+that must stay byte-identical; the first were captured before the verdict
+logic moved behind `invariants.field_context`.
 """
 
 import contextlib
@@ -80,18 +80,24 @@ def test_field_context_holds_the_field_quantities(monkeypatch):
     assert (ctx.n2, ctx.class_number, ctx.h_missing) == (2, 4, None)
     assert precisions == [8]  # the working precision, under the default cap
     assert invariants.field_context(fam, h=7).class_number == 7
-    skipped = invariants.field_context(fam, compute_h=False)
-    assert skipped.class_number is None and skipped.h_missing
     capped = invariants.field_context(fam, classno_ceiling=10)
+    assert capped.class_number is None
     assert capped.h_missing == "class number ceiling"
 
 
 def test_wrappers_compute_no_class_number(monkeypatch):
-    counts = count_calls(monkeypatch, classno.class_number)
-    assert invariants.p_rationality_verdict(3, 2, 1) == invariants.NON_P_RATIONAL
-    res = invariants.greenberg_verdict(3, 2, h=4)
-    assert (res.verdict, res.an_prediction) == (invariants.MU_LAMBDA_ZERO, 3)
-    assert counts["class_number"] == 0
+    # a ceiling of 0 refuses the class number before its distance sum, and
+    # an injected h replaces it; n2_of goes the first way
+    counts = count_calls(monkeypatch, classno._distance_bounds)
+    fam = qf.construct_family(3, 2, 1)
+    report, _ = invariants.build_report(invariants.field_context(fam, classno_ceiling=0))
+    assert report.p_rational_verdict == invariants.NON_P_RATIONAL
+    report, _ = invariants.build_report(invariants.field_context(fam, strict=True, h=4))
+    assert (report.greenberg_verdict, report.an_prediction) == (invariants.MU_LAMBDA_ZERO, 3)
+    assert invariants.n2_of(fam) == 2
+    assert counts["_distance_bounds"] == 0
+    assert invariants.field_context(fam).class_number == 4
+    assert counts["_distance_bounds"] == 1
 
 
 def test_defect_gate_fires_inside_the_bound_only(monkeypatch):
@@ -127,6 +133,7 @@ def test_n2_is_checked_against_the_quotient_ring_route(monkeypatch):
      "scan_p357_r2-5_one.json"),
     (("scan", "--p", "3", "--r", "3", "--m", "bound"), "scan_p3_r3_bound.csv"),
     (("field", "--p", "3", "--r", "2"), "field_p3_r2.txt"),
+    (("field", "--p", "1093", "--r", "2"), "field_p1093_r2.txt"),
 ])
 def test_golden_output(capsys, argv, golden):
     code, out = run(capsys, *argv)
