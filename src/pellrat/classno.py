@@ -13,7 +13,9 @@ its distances log((b + sqrt(D))/(2|a|)) add up to log eps+, where eps+ is
 the least unit above 1 of norm +1 (Shanks, "The infrastructure of a real
 quadratic field", 1972; Lenstra, "On the calculation of regulators and
 class numbers of quadratic fields", 1982).  Summed over every reduced form,
-the distances give h+ * log eps+.  The sum is carried as one product with
+the distances give h+ * log eps+.  The forms with one b pair up, and the
+distances of a pair add up to log((sqrt(D) + b)/(sqrt(D) - b)), so the sum
+needs only the number of forms at each b.  It is carried as one product with
 integer lower and upper bounds, a sieve block at a time, and compared with
 integer bounds on eps+ through a fixed-point log2; h+ is accepted only when
 the quotient's interval holds exactly one integer.  The wide class number
@@ -35,9 +37,10 @@ DEFAULT_DISC_CEILING = 10**10
 Form = tuple[int, int, int]
 
 # fractional bits of every fixed-point number here: the roots, the running
-# product's mantissa and the log2 values.  Up to 10**7 reduced forms keep
-# log2(hi/lo) of the distance product below 2**-38, far inside what telling
-# h+ from h+ +- 1 needs.
+# product's mantissa and the log2 values.  sqrt(D) - b >= 1/(2 sqrt(D)), so
+# each factor of the distance product is known to 2**(2 - _BITS) * sqrt(D)
+# relative, and up to 10**7 reduced forms at D <= 10**10 keep log2(hi/lo)
+# below 2**-20, far inside what telling h+ from h+ +- 1 needs.
 _BITS = 64
 
 
@@ -169,33 +172,36 @@ def _distance_bounds(disc: int, s: int) -> tuple[int, int]:
     """Bounds on the distance sum, sum log2((b + sqrt(disc))/(2|a|)) over
     the reduced forms, times 2**_BITS.
 
-    The forms with a < 0 mirror those with a > 0, so the sum is twice log2
-    of one product over the latter, kept as [lo, hi] * 2**e.  Per b,
-    (b + sqrt(disc)) * 2**_BITS lies in [z, z + 1) with
-    z = b * 2**_BITS + isqrt(disc * 4**_BITS), so lo takes z**n // prod(ds)
-    and hi the ceiling of (z + 1)**n / prod(ds).  Both are cut back to
-    2 * _BITS bits, lo down and hi up, whenever they grow past it; lo only
-    grows, as each factor is above 2.
+    The window s - b < 2d <= s + b is closed under d -> m_b/d, so the
+    2 * n_b forms (+-d, b, -+m_b/d) at one b pair up, and the distances of
+    a pair add up to log2((sqrt(disc) + b)/(sqrt(disc) - b)); the sum is
+    n_b times that, summed over b.  It is kept as log2 of one product
+    [lo, hi] * 2**e, started at 2**(2 * _BITS) with e = -2 * _BITS.  With
+    root = isqrt(disc * 4**_BITS) and z = b * 2**_BITS, the numerator
+    (sqrt(disc) + b) * 2**_BITS lies in [root + z, root + z + 1) and the
+    denominator in [root - z, root - z + 1), so lo takes
+    (root + z)**n // (root - z + 1)**n and hi the ceiling of
+    (root + z + 1)**n / (root - z)**n.  Both are cut back to 2 * _BITS
+    bits, lo down and hi up, whenever they grow past it; lo never shrinks,
+    as each factor is above 1.
     """
     root = math.isqrt(disc << 2 * _BITS)
-    lo = hi = 1
-    e = 0
+    lo = hi = 1 << 2 * _BITS
+    e = -2 * _BITS
     for b, _, ds in _window_divisors(disc, s):
         n = len(ds)
         if not n:
             continue
-        pd = math.prod(ds)
-        z = (b << _BITS) + root
-        lo = lo * z**n // pd
-        hi = -(-hi * (z + 1)**n // pd)
-        e -= (_BITS + 1) * n
+        z = b << _BITS
+        lo = lo * (root + z)**n // (root - z + 1)**n
+        hi = -(-hi * (root + z + 1)**n // (root - z)**n)
         extra = hi.bit_length() - 2 * _BITS
         if extra > 0:
             lo >>= extra
             hi = -(-hi >> extra)
             e += extra
-    return (2 * (_log2_bound(lo, False) + (e << _BITS)),
-            2 * (_log2_bound(hi, True) + (e << _BITS)))
+    return (_log2_bound(lo, False) + (e << _BITS),
+            _log2_bound(hi, True) + (e << _BITS))
 
 
 def narrow_class_number(disc: int, ceiling: int = DEFAULT_DISC_CEILING,

@@ -159,7 +159,7 @@ def compute_record(p: int, r: int, m: int, opts: PipelineOptions,
     mode) precision exhaustion propagates too, for the exit-code contract;
     otherwise it leaves null fields plus an explanatory note.
     """
-    fam = construct_family(p, r, m, opts.factor_effort,
+    fam = construct_family(p, r, m,
                            factor_fn=lambda v: cache.factor(v, opts.factor_effort))
     ctx = invariants.field_context(fam, opts.classno_ceiling, opts.precision_cap, strict)
     report, notes = invariants.build_report(ctx)
@@ -439,10 +439,13 @@ def cmd_scan(args) -> int:
     if code != EXIT_OK:
         return code
 
-    verdicts = Counter(v for rec in records for v in (rec.p_rational, rec.greenberg))
+    # each verdict column is counted on its own, as every row has both
+    parts = []
+    for column in ("p_rational", "greenberg"):
+        tally = Counter(getattr(rec, column) for rec in records)
+        parts.append(" ".join([column, *(f"{k}={v}" for k, v in sorted(tally.items()))]))
     failed = sum(1 for rec in records if rec.D is None)
-    summary = " ".join(f"{k}={v}" for k, v in sorted(verdicts.items()))
-    print(f"scanned {len(records)} cells: {summary} row-failures={failed}",
+    print(f"scanned {len(records)} cells: {'; '.join(parts)}; row-failures={failed}",
           file=sys.stderr)
     return EXIT_OK
 

@@ -176,18 +176,6 @@ def valuation(n: int, p: int) -> int:
     return e
 
 
-def binom_valuation(p: int, l: int, i: int) -> int:
-    """p-adic valuation of binomial(p**l, i) for 1 <= i <= p**l.
-
-    Equals l - valuation(i, p); no binomial coefficient is ever expanded.
-    """
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    if not 1 <= i <= p**l:
-        raise ValueError("need 1 <= i <= p**l")
-    return l - valuation(i, p)
-
-
 def _iroot(n: int, k: int) -> int:
     # floor of the k-th root, Newton from an overestimate
     if n < 0:
@@ -386,12 +374,14 @@ def expand_divisors(factors) -> list[int]:
     return sorted(divs)
 
 
-def squarefree_decompose(n: int, effort: int = DEFAULT_FACTOR_EFFORT,
+def squarefree_decompose(n: int,
                          factorization: Factorization | None = None) -> tuple[int, int]:
     """Write n = b**2 * d with d squarefree; returns (b, d).
 
-    Requires a complete factorization and raises IncompleteFactorization
-    otherwise, because squarefreeness of the cofactor cannot be certified.
+    Reads ``factorization`` when given, else factors n at the default
+    effort.  Requires a complete factorization and raises
+    IncompleteFactorization otherwise, because squarefreeness of the
+    cofactor cannot be certified.
 
     >>> squarefree_decompose(325)
     (5, 13)
@@ -400,7 +390,7 @@ def squarefree_decompose(n: int, effort: int = DEFAULT_FACTOR_EFFORT,
         raise ValueError("squarefree_decompose requires n >= 1")
     if n == 1:
         return 1, 1
-    f = factorization if factorization is not None else factor(n, effort)
+    f = factorization if factorization is not None else factor(n)
     if f.value != n:
         raise ValueError("factorization is for a different value")
     if not f.complete:

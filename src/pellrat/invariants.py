@@ -27,14 +27,13 @@ INCONCLUSIVE = "inconclusive"
 MU_LAMBDA_ZERO = "mu-lambda-zero"
 
 
-def epsilon_congruence_check(fam: FamilyField, eps: QuadInt | None = None) -> bool:
-    """eps**(p-1) = 1 mod p**2 in the ring of integers (quotient-ring route).
+def epsilon_congruence_check(fam: FamilyField, eps: QuadInt) -> bool:
+    """eps**(p-1) = 1 mod p**2 in the ring of integers (quotient-ring route),
+    for the fundamental unit eps of the family field.
 
     Within the coefficient bound the congruence is a theorem, so a False
     result there signals an implementation defect and raises.
     """
-    if eps is None:
-        eps = fundamental_unit(fam.field)
     ok = padic.power_is_one_mod(eps, fam.p - 1, fam.p**2)
     if not ok and m_bound_satisfied(fam.p, fam.r, fam.m):
         raise DefectError(
@@ -47,22 +46,6 @@ def n2_of(fam: FamilyField, cap: int = padic.DEFAULT_PRECISION_CAP) -> int:
     family prime.  For m = 1 and d != 2 this must equal r."""
     # a ceiling of 0 refuses the class number before any work on it
     return field_context(fam, classno_ceiling=0, cap=cap, strict=True).n2
-
-
-def lemma_n1_congruence(fam: FamilyField) -> bool:
-    """(b*sqrt(d) + 1)**(p-1) = 2**(p-1) mod the square of the family prime.
-
-    Holds for every m = 1 family field; False is a defect signal for the
-    caller (the test suite asserts it).
-    """
-    if fam.m != 1:
-        raise ValueError("the congruence route needs m = 1")
-    p = fam.p
-    emb = padic.family_embedding(fam, k=2)
-    gen = element(fam.field, 1, fam.b)
-    lhs = pow(padic.embed(gen, emb), p - 1, p * p)
-    rhs = pow(2, p - 1, p * p)
-    return lhs == rhs
 
 
 def n1_certificate(fam: FamilyField, h: int,
@@ -81,7 +64,7 @@ def n1_certificate(fam: FamilyField, h: int,
         raise ValueError("class number must be >= 1")
     if h % fam.p == 0:
         return N1_UNKNOWN
-    return _n1_route(field_context(fam, cap=cap, strict=True, h=h))
+    return _n1_route(field_context(fam, classno_ceiling=0, cap=cap, strict=True))
 
 
 def _n1_route(ctx: FieldContext) -> str:
@@ -89,38 +72,6 @@ def _n1_route(ctx: FieldContext) -> str:
     if ctx.n2 < 2 or ctx.gen_order is None:
         return N1_UNKNOWN
     return N1_CERTIFIED if ctx.gen_order == 1 else N1_REFUTED
-
-
-def gen_fib(a: int, n: int) -> int:
-    """F_n with F_0 = 0, F_1 = 1, F_{n+2} = 2a F_{n+1} + F_n.
-
-    >>> gen_fib(9, 3)
-    325
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    x, y = 0, 1
-    for _ in range(n):
-        x, y = y, 2 * a * y + x
-    return x
-
-
-def fib_unit_equivalence(t: QuadInt, p: int) -> bool:
-    """Both sides of: t**(p-1) = 1 mod p**2  iff  p**2 divides a (t = a + b*sqrt(d)).
-
-    Requires norm(t) = -1 and p | a.  The left side runs in the quotient
-    ring, the right side is a plain integer valuation; True means the two
-    independent routes agree (False would be a defect signal).
-    """
-    if p < 3 or p % 2 == 0 or not intkit.is_prime(p):
-        raise ValueError("p must be an odd prime")
-    if qi_norm(t) != -1:
-        raise ValueError("t must have norm -1")
-    if t.u == 0 or intkit.valuation(t.u, p) < 1:
-        raise ValueError("p must divide the rational part of t")
-    left = padic.power_is_one_mod(t, p - 1, p * p)
-    right = intkit.valuation(t.u, p) >= 2
-    return left == right
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +196,15 @@ class FieldContext:
 def field_context(fam: FamilyField,
                   classno_ceiling: int = classno.DEFAULT_DISC_CEILING,
                   cap: int = padic.DEFAULT_PRECISION_CAP,
-                  strict: bool = False, h: int | None = None) -> FieldContext:
+                  strict: bool = False) -> FieldContext:
     """Compute the context of one family field.
 
-    A class number passed as ``h`` is used as given.  Otherwise it is
-    computed up to ``classno_ceiling``; a ceiling of 0 skips it.  With
-    ``strict`` set, precision exhaustion propagates instead of leaving
-    ``n2`` or ``gen_order`` empty.  A resolved ``n2`` is checked against
-    ``unit_congruence``, and DefectError is raised if they disagree.
+    The class number is computed up to ``classno_ceiling``; a ceiling of 0
+    skips it.  With ``strict`` set, precision exhaustion propagates instead
+    of leaving ``n2`` or ``gen_order`` empty.  A resolved ``n2`` is checked
+    against ``unit_congruence``, and DefectError is raised if they disagree.
+    A caller that knows the class number sets it with
+    ``dataclasses.replace(ctx, class_number=h, h_missing=None)``.
     """
     eps = fundamental_unit(fam.field)
     # the defect gate inside the bound lives in the check itself
@@ -281,12 +233,11 @@ def field_context(fam: FamilyField,
         raise DefectError(f"n2 = {n2} != r = {fam.r} at (p={fam.p}, r={fam.r}, m=1)")
     gen = element(fam.field, 1, fam.b)  # b*sqrt(d) + 1
     gen_order = order(padic.congruence_order, gen) if fam.m == 1 else None
-    h_missing = None
-    if h is None:
-        try:
-            h = classno.class_number(fam.field, classno_ceiling, eps=eps)
-        except DiscriminantTooLarge:
-            h_missing = "class number ceiling"
+    h, h_missing = None, None
+    try:
+        h = classno.class_number(fam.field, classno_ceiling, eps=eps)
+    except DiscriminantTooLarge:
+        h_missing = "class number ceiling"
     return FieldContext(
         family=fam, eps=eps, unit_norm=qi_norm(eps), t_is_fundamental=fam.t == eps,
         m_bound_ok=m_bound_satisfied(fam.p, fam.r, fam.m),

@@ -61,28 +61,6 @@ def g_sequence(n_max: int) -> list[int]:
     return list(g_values(n_max))
 
 
-def addition_identity_check(l: int, m: int) -> bool:
-    """G_{l+m} == 2*G_m*G_l - (-1)**m * G_{l-m}, checked exactly."""
-    lhs = pell_pair(l + m).g
-    rhs = 2 * pell_pair(m).g * pell_pair(l).g - (-1) ** (m & 1) * pell_pair(l - m).g
-    return lhs == rhs
-
-
-def pair_reduce(l: int, r: int) -> tuple[int, int]:
-    """One step of the index-pair reduction used by the gcd argument.
-
-    Maps (l, r) to (max(|l - 2r|, r), min(|l - 2r|, r)); the gcd of the
-    G-values at the two indices is preserved.  Arguments are put in
-    l >= r >= 0 order first.
-    """
-    if l < 0 or r < 0:
-        raise ValueError("indices must be >= 0")
-    if l < r:
-        l, r = r, l
-    a = abs(l - 2 * r)
-    return (max(a, r), min(a, r))
-
-
 def g_gcd(l: int, m: int) -> int:
     """gcd(G_l, G_m) in closed form.
 
@@ -94,13 +72,6 @@ def g_gcd(l: int, m: int) -> int:
     if intkit.valuation(l, 2) == intkit.valuation(m, 2):
         return pell_pair(math.gcd(l, m)).g
     return 1
-
-
-def g_gcd_oracle(l: int, m: int) -> int:
-    """gcd(G_l, G_m) computed directly on the values."""
-    if l < 1 or m < 1:
-        raise ValueError("indices must be >= 1")
-    return math.gcd(pell_pair(l).g, pell_pair(m).g)
 
 
 def prime_power_search(p: int, n_max: int) -> list[tuple[int, int]]:

@@ -309,14 +309,16 @@ def m_bound_satisfied(p: int, r: int, m: int) -> bool:
 
 
 def construct_family(p: int, r: int, m: int = 1,
-                     effort: int = intkit.DEFAULT_FACTOR_EFFORT,
-                     factor_fn=None) -> FamilyField:
+                     factor_fn=intkit.factor) -> FamilyField:
     """Build the family field for (p, r, m).
 
     Requires p an odd prime, r >= 2, m >= 1 coprime to p.  The radicand
-    N = m**2 * p**(2r) + 1 is factored (raising IncompleteFactorization if
-    the budget is not enough to certify the squarefree part), and the two
-    structural guarantees -- norm(t) = -1 and p split -- are verified.
+    N = m**2 * p**(2r) + 1 is factored by ``factor_fn(N)``, which returns
+    an `intkit.Factorization` and carries the caller's effort budget and
+    cache (the default is `intkit.factor` at its default effort).  An
+    incomplete factorization raises IncompleteFactorization, since the
+    squarefree part cannot be certified without it.  The two structural
+    guarantees -- norm(t) = -1 and p split -- are verified.
     """
     if p < 3 or p % 2 == 0 or not intkit.is_prime(p):
         raise ValueError("p must be an odd prime")
@@ -327,8 +329,7 @@ def construct_family(p: int, r: int, m: int = 1,
     if m % p == 0:
         raise ValueError("m must be coprime to p")
     n = m * m * p ** (2 * r) + 1
-    f = factor_fn(n) if factor_fn is not None else intkit.factor(n, effort)
-    b, d = intkit.squarefree_decompose(n, factorization=f)
+    b, d = intkit.squarefree_decompose(n, factorization=factor_fn(n))
     if d == 1:
         raise DefectError(f"radicand {n} is a perfect square; degenerate field")
     field = QuadraticField(d)

@@ -3,7 +3,11 @@
 Everything here favors directness over speed: plain trial division, a
 brute-force unit search that walks v upward, and a quadratic-form counter
 that scans the whole (a, b) box instead of enumerating divisors.  The
-production code must agree with these on every overlapping input.
+production code must agree with these on every overlapping input.  The
+file also holds the checks of the paper's lemmas that only the tests run.
+
+Functions that need `pellrat` import it inside their bodies, so that
+importing this file stays light.
 """
 
 import math
@@ -271,6 +275,73 @@ def slow_class_number(d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the paper's lemmas on the family fields
+
+
+def binom_valuation(p: int, l: int, i: int) -> int:
+    """p-adic valuation of binomial(p**l, i) for 1 <= i <= p**l.
+
+    Equals l - valuation(i, p); no binomial coefficient is ever expanded.
+    """
+    from pellrat import intkit
+
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    if not 1 <= i <= p**l:
+        raise ValueError("need 1 <= i <= p**l")
+    return l - intkit.valuation(i, p)
+
+
+def lemma_n1_congruence(fam) -> bool:
+    """(b*sqrt(d) + 1)**(p-1) = 2**(p-1) mod the square of the family prime.
+
+    Holds for every m = 1 family field; False is a defect signal.
+    """
+    from pellrat import padic
+    from pellrat.quadfield import element
+
+    if fam.m != 1:
+        raise ValueError("the congruence route needs m = 1")
+    p = fam.p
+    emb = padic.family_embedding(fam, k=2)
+    gen = element(fam.field, 1, fam.b)
+    lhs = pow(padic.embed(gen, emb), p - 1, p * p)
+    rhs = pow(2, p - 1, p * p)
+    return lhs == rhs
+
+
+def gen_fib(a: int, n: int) -> int:
+    """F_n with F_0 = 0, F_1 = 1, F_{n+2} = 2a F_{n+1} + F_n."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    x, y = 0, 1
+    for _ in range(n):
+        x, y = y, 2 * a * y + x
+    return x
+
+
+def fib_unit_equivalence(t, p: int) -> bool:
+    """Both sides of: t**(p-1) = 1 mod p**2  iff  p**2 divides a (t = a + b*sqrt(d)).
+
+    Requires norm(t) = -1 and p | a.  The left side runs in the quotient
+    ring, the right side is a plain integer valuation; True means the two
+    independent routes agree (False would be a defect signal).
+    """
+    from pellrat import intkit, padic
+    from pellrat.quadfield import qi_norm
+
+    if p < 3 or p % 2 == 0 or not intkit.is_prime(p):
+        raise ValueError("p must be an odd prime")
+    if qi_norm(t) != -1:
+        raise ValueError("t must have norm -1")
+    if t.u == 0 or intkit.valuation(t.u, p) < 1:
+        raise ValueError("p must divide the rational part of t")
+    left = padic.power_is_one_mod(t, p - 1, p * p)
+    right = intkit.valuation(t.u, p) >= 2
+    return left == right
+
+
+# ---------------------------------------------------------------------------
 # Pell numbers, directly from the recurrence
 
 
@@ -307,3 +378,36 @@ def slow_prime_power_hits(p: int, n_max: int) -> list[tuple[int, int]]:
             hits.append((n, e))
         g0, g1 = g1, 2 * g1 + g0
     return hits
+
+
+def addition_identity_check(l: int, m: int) -> bool:
+    """G_{l+m} == 2*G_m*G_l - (-1)**m * G_{l-m}, checked exactly."""
+    from pellrat.pellseq import pell_pair
+
+    lhs = pell_pair(l + m).g
+    rhs = 2 * pell_pair(m).g * pell_pair(l).g - (-1) ** (m & 1) * pell_pair(l - m).g
+    return lhs == rhs
+
+
+def pair_reduce(l: int, r: int) -> tuple[int, int]:
+    """One step of the index-pair reduction used by the gcd argument.
+
+    Maps (l, r) to (max(|l - 2r|, r), min(|l - 2r|, r)); the gcd of the
+    G-values at the two indices is preserved.  Arguments are put in
+    l >= r >= 0 order first.
+    """
+    if l < 0 or r < 0:
+        raise ValueError("indices must be >= 0")
+    if l < r:
+        l, r = r, l
+    a = abs(l - 2 * r)
+    return (max(a, r), min(a, r))
+
+
+def g_gcd_oracle(l: int, m: int) -> int:
+    """gcd(G_l, G_m) computed directly on the values."""
+    from pellrat.pellseq import pell_pair
+
+    if l < 1 or m < 1:
+        raise ValueError("indices must be >= 1")
+    return math.gcd(pell_pair(l).g, pell_pair(m).g)

@@ -18,7 +18,8 @@ import math
 import time
 from functools import lru_cache
 
-from oracles import slow_class_number, squarefree_split
+from oracles import (addition_identity_check, fib_unit_equivalence, g_gcd_oracle,
+                     lemma_n1_congruence, slow_class_number, squarefree_split)
 
 from pellrat import classno, cli, intkit, invariants, padic, pellseq
 from pellrat import quadfield as qf
@@ -108,7 +109,7 @@ def test_criterion_04_n1_lemma_and_greenberg_verdicts():
             continue
         for r in (2, 3, 4, 5):
             fam = qf.construct_family(p, r, 1)
-            if not invariants.lemma_n1_congruence(fam):
+            if not lemma_n1_congruence(fam):
                 bad.append((p, r, "congruence"))
             res, _ = invariants.build_report(invariants.field_context(fam, strict=True))
             if res.greenberg_verdict == invariants.MU_LAMBDA_ZERO:
@@ -159,7 +160,7 @@ def test_criterion_06_fib_unit_equivalence_across_grid():
     t0 = time.time()
     fams = criterion1_families()
     bad = [(fam.p, fam.r, fam.m) for fam in fams
-           if not invariants.fib_unit_equivalence(fam.t, fam.p)]
+           if not fib_unit_equivalence(fam.t, fam.p)]
     elapsed = time.time() - t0
     report(6, not bad and elapsed < 10,
            f"unit-congruence/p^2-divisibility equivalence on {len(fams)} fields, "
@@ -202,13 +203,13 @@ def test_criterion_08_pell_gcd_and_identities():
         for m in range(1, 301):
             same = intkit.valuation(l, 2) == intkit.valuation(m, 2)
             both_branches[same] += 1
-            if pellseq.g_gcd(l, m) != pellseq.g_gcd_oracle(l, m):
+            if pellseq.g_gcd(l, m) != g_gcd_oracle(l, m):
                 bad.append((l, m))
     if 0 in both_branches.values():
         bad.append("a 2-valuation branch was never exercised")
     for l in range(-100, 101):
         for m in range(-100, 101):
-            if not pellseq.addition_identity_check(l, m):
+            if not addition_identity_check(l, m):
                 bad.append((l, m, "addition"))
     for n in range(-1000, 1001):
         pair = pellseq.pell_pair(n)

@@ -44,6 +44,14 @@ def test_sieve_matches_the_by_b_enumeration_on_cell_discs(disc):
     assert classno.reduced_forms(disc) == by_b_reduced_forms(disc)
 
 
+def test_window_divisors_are_closed_under_the_cofactor():
+    # the distance sum pairs (d, b, -m/d) with (-m/d, b, d) and so needs
+    # only the number of window divisors at each b
+    for disc in DISCS + CELL_DISCS:
+        for b, m, ds in classno._window_divisors(disc, classno._valid_disc(disc)):
+            assert sorted(m // d for d in ds) == ds, (disc, b)
+
+
 def test_class_number_factors_nothing(monkeypatch):
     field = qf.construct_family(3, 8).field
     calls = []
@@ -163,7 +171,7 @@ _BIT = 1 << classno._BITS  # one bit in the fixed-point log2 units
 @pytest.mark.parametrize("lo_shift, hi_shift", [
     (_BIT >> 4, _BIT >> 4),  # a sixteenth of a bit too high
     (-_BIT >> 4, -_BIT >> 4),  # too low
-    (-2 * _BIT, 2 * _BIT),  # two bits too loose: h+ = 4 lies between 2.8 and 5.9
+    (-2 * _BIT, 2 * _BIT),  # two bits too loose: h+ = 4 lies between 3.0 and 5.6
 ])
 def test_distance_sum_rejects_a_log_that_is_off(monkeypatch, lo_shift, hi_shift):
     log2 = classno._log2_bound

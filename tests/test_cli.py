@@ -210,6 +210,14 @@ def test_scan_row_failure_is_data(capsys):
     assert "row-failures" in err
 
 
+def test_scan_summary_counts_each_verdict_column(capsys):
+    # m = 2 is past the bound at (3, 2), and no m != 1 row has a greenberg verdict
+    code, _, err = run(capsys, "scan", "--p", "3", "--r", "2..3", "--m", "2")
+    assert code == 0
+    assert err == ("scanned 2 cells: p_rational inconclusive=1 non-p-rational=1; "
+                   "greenberg inconclusive=2; row-failures=0\n")
+
+
 def test_gseq_outputs(capsys):
     code, out, _ = run(capsys, "gseq", "pair", "5")
     assert (code, out.strip()) == (0, "G=41 F=29")

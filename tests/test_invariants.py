@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import fib_unit_equivalence, gen_fib, lemma_n1_congruence
+
 from pellrat import classno, cli, invariants, padic
 from pellrat import quadfield as qf
 from pellrat.errors import DefectError, PrecisionExhausted
@@ -16,7 +18,8 @@ def fam(p, r, m=1):
 
 def test_epsilon_congruence_inside_the_bound():
     for p, r in [(3, 2), (3, 3), (5, 2), (7, 2), (3, 4), (5, 3), (7, 3)]:
-        assert invariants.epsilon_congruence_check(fam(p, r))
+        f = fam(p, r)
+        assert invariants.epsilon_congruence_check(f, qf.fundamental_unit(f.field))
 
 
 def test_epsilon_congruence_can_fail_outside_the_bound():
@@ -24,7 +27,7 @@ def test_epsilon_congruence_can_fail_outside_the_bound():
     # 1 mod 9, and m = 2 is already past the bound 3/2
     f = fam(3, 2, 2)
     assert not qf.m_bound_satisfied(3, 2, 2)
-    assert not invariants.epsilon_congruence_check(f)
+    assert not invariants.epsilon_congruence_check(f, qf.fundamental_unit(f.field))
 
 
 def test_n2_equals_r_on_the_one_parameter_family():
@@ -44,12 +47,12 @@ def test_n2_on_wider_m():
 def test_lemma_n1_congruence_holds_on_family():
     for p in (3, 5, 7, 11):
         for r in (2, 3):
-            assert invariants.lemma_n1_congruence(fam(p, r))
+            assert lemma_n1_congruence(fam(p, r))
 
 
 def test_lemma_n1_congruence_requires_m_one():
     with pytest.raises(ValueError):
-        invariants.lemma_n1_congruence(fam(3, 2, 2))
+        lemma_n1_congruence(fam(3, 2, 2))
 
 
 def test_n1_certificate_certified_case():
@@ -70,44 +73,44 @@ def test_n1_certificate_validates():
 
 
 def test_gen_fib_values():
-    assert [invariants.gen_fib(1, n) for n in range(7)] == [0, 1, 2, 5, 12, 29, 70]
-    assert invariants.gen_fib(9, 3) == 325
+    assert [gen_fib(1, n) for n in range(7)] == [0, 1, 2, 5, 12, 29, 70]
+    assert gen_fib(9, 3) == 325
     with pytest.raises(ValueError):
-        invariants.gen_fib(2, -1)
+        gen_fib(2, -1)
 
 
 @given(st.integers(min_value=1, max_value=25), st.integers(min_value=2, max_value=40))
 def test_gen_fib_recurrence(a, n):
-    x0 = invariants.gen_fib(a, n - 2)
-    x1 = invariants.gen_fib(a, n - 1)
-    assert invariants.gen_fib(a, n) == 2 * a * x1 + x0
+    x0 = gen_fib(a, n - 2)
+    x1 = gen_fib(a, n - 1)
+    assert gen_fib(a, n) == 2 * a * x1 + x0
 
 
 def test_fib_unit_equivalence_on_family_units():
     # p^2 divides the rational part of t, so both sides are true
     for p, r, m in [(3, 2, 1), (3, 3, 1), (5, 2, 1), (7, 2, 1), (3, 2, 2)]:
         f = fam(p, r, m)
-        assert invariants.fib_unit_equivalence(f.t, p)
+        assert fib_unit_equivalence(f.t, p)
 
 
 def test_fib_unit_equivalence_negative_cases():
     # norm -1 elements with p || rational part: both sides are false
     f10 = qf.QuadraticField(10)
     t = qf.element(f10, 3, 1)  # 3 + sqrt(10), norm -1
-    assert invariants.fib_unit_equivalence(t, 3)
+    assert fib_unit_equivalence(t, 3)
     f26 = qf.QuadraticField(26)
     t = qf.element(f26, 5, 1)
-    assert invariants.fib_unit_equivalence(t, 5)
+    assert fib_unit_equivalence(t, 5)
 
 
 def test_fib_unit_equivalence_validates():
     f10 = qf.QuadraticField(10)
     with pytest.raises(ValueError):
-        invariants.fib_unit_equivalence(qf.element(f10, 3, 1), 4)
+        fib_unit_equivalence(qf.element(f10, 3, 1), 4)
     with pytest.raises(ValueError):
-        invariants.fib_unit_equivalence(qf.element(f10, 3, 1), 5)
+        fib_unit_equivalence(qf.element(f10, 3, 1), 5)
     with pytest.raises(ValueError):
-        invariants.fib_unit_equivalence(qf.element(f10, 1, 1), 3)
+        fib_unit_equivalence(qf.element(f10, 1, 1), 3)
 
 
 def test_coates_ledger_family_case():
@@ -152,6 +155,7 @@ def p_rational(f):
 def greenberg(f, **kwargs):
     report, _ = invariants.build_report(invariants.field_context(f, strict=True, **kwargs))
     return report
+
 
 
 def test_p_rationality_verdict_on_grid():
@@ -200,7 +204,8 @@ def test_greenberg_ceiling_is_inconclusive_not_wrong():
 
 def test_greenberg_injected_h():
     # verdict branches on the injected class number without computing one
-    res = greenberg(fam(3, 2), h=3)
+    ctx = invariants.field_context(fam(3, 2), classno_ceiling=0, strict=True)
+    res, _ = invariants.build_report(replace(ctx, class_number=3, h_missing=None))
     assert res.greenberg_verdict == invariants.INCONCLUSIVE
     assert res.greenberg_reason == "p divides class number"
 

@@ -9,6 +9,7 @@ import contextlib
 import math
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -79,7 +80,6 @@ def test_field_context_holds_the_field_quantities(monkeypatch):
     assert (ctx.unit_norm, ctx.t_is_fundamental, ctx.m_bound_ok) == (-1, True, True)
     assert (ctx.n2, ctx.class_number, ctx.h_missing) == (2, 4, None)
     assert precisions == [8]  # the working precision, under the default cap
-    assert invariants.field_context(fam, h=7).class_number == 7
     capped = invariants.field_context(fam, classno_ceiling=10)
     assert capped.class_number is None
     assert capped.h_missing == "class number ceiling"
@@ -87,14 +87,16 @@ def test_field_context_holds_the_field_quantities(monkeypatch):
 
 def test_wrappers_compute_no_class_number(monkeypatch):
     # a ceiling of 0 refuses the class number before its distance sum, and
-    # an injected h replaces it; n2_of goes the first way
+    # a known h is set on that context; n2_of goes the first way
     counts = count_calls(monkeypatch, classno._distance_bounds)
     fam = qf.construct_family(3, 2, 1)
     report, _ = invariants.build_report(invariants.field_context(fam, classno_ceiling=0))
     assert report.p_rational_verdict == invariants.NON_P_RATIONAL
-    report, _ = invariants.build_report(invariants.field_context(fam, strict=True, h=4))
+    ctx = invariants.field_context(fam, classno_ceiling=0, strict=True)
+    report, _ = invariants.build_report(replace(ctx, class_number=4, h_missing=None))
     assert (report.greenberg_verdict, report.an_prediction) == (invariants.MU_LAMBDA_ZERO, 3)
     assert invariants.n2_of(fam) == 2
+    assert invariants.n1_certificate(fam, 4) == invariants.N1_CERTIFIED
     assert counts["_distance_bounds"] == 0
     assert invariants.field_context(fam).class_number == 4
     assert counts["_distance_bounds"] == 1
