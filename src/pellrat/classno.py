@@ -3,9 +3,11 @@
 A form is a plain ``(a, b, c)`` tuple of ints with positive nonsquare
 discriminant D = b**2 - 4ac.  It is reduced when
 |sqrt(D) - 2|a|| < b < sqrt(D); all comparisons run on integers against
-isqrt(D), never on floats.  The reduced forms of one discriminant come from
-the divisors of (D - b**2)/4 for every admissible b, and one sieve over b
-factors all of those numbers completely, without a call to `intkit.factor`.
+isqrt(D), never on floats.  The reduced forms of one discriminant are
+enumerated by their leading coefficient a, 1 <= |a| <= isqrt(D): the b with
+a | (D - b**2)/4 are the roots of a quadratic mod a, combined by the Chinese
+remainder theorem from its roots mod each prime power, so nothing is
+factored and no divisor is tried that lies outside the reduction window.
 
 The narrow class number h+ is the number of rho-cycles of reduced forms,
 but no cycle is walked.  Each cycle goes once round the infrastructure, so
@@ -16,10 +18,10 @@ class numbers of quadratic fields", 1982).  Summed over every reduced form,
 the distances give h+ * log eps+.  The forms with one b pair up, and the
 distances of a pair add up to log((sqrt(D) + b)/(sqrt(D) - b)), so the sum
 needs only the number of forms at each b.  It is carried as one product with
-integer lower and upper bounds, a sieve block at a time, and compared with
-integer bounds on eps+ through a fixed-point log2; h+ is accepted only when
-the quotient's interval holds exactly one integer.  The wide class number
-follows from the norm of the fundamental unit.
+integer lower and upper bounds, b by b, and compared with integer bounds on
+eps+ through a fixed-point log2; h+ is accepted only when the quotient's
+interval holds exactly one integer.  The wide class number follows from the
+norm of the fundamental unit.
 """
 
 from __future__ import annotations
@@ -53,84 +55,133 @@ def _valid_disc(disc: int) -> int:
     return s
 
 
-# b values sieved at a time: small enough that a block's factor lists stay
-# well under a megabyte, large enough that the per-prime loop is amortised
-_SIEVE_BLOCK = 2048
+def _top_b(disc: int, s: int) -> int:
+    """The largest b <= s with b = disc mod 2; the b of reduced forms are
+    top, top - 2, ..., down to 1 or 2."""
+    return s - ((s ^ disc) & 1)
 
 
-def _progressions(disc: int, b0: int, q_max: int) -> list[tuple[int, int]]:
-    """(q, i0) for each odd prime q <= q_max and each root of b**2 = disc
-    mod q: q divides (disc - b**2)/4 at b = b0 + 2*i exactly when
-    i = i0 mod q."""
-    pairs = []
-    for q in intkit.primes_up_to(q_max)[1:]:
-        dq = disc % q
-        if dq == 0:
-            roots: tuple[int, ...] = (0,)
-        elif pow(dq, (q - 1) // 2, q) == 1:
-            t = intkit.sqrt_mod_prime(dq, q)
-            roots = (t, q - t)
-        else:
-            continue
-        half = (q + 1) // 2  # the inverse of 2 mod q
-        pairs.extend((q, (t - b0) * half % q) for t in roots)
-    return pairs
+def _prime_roots(disc: int, top: int, q: int) -> list[int]:
+    """The roots mod the odd prime q of g(k) = (disc - (top - 2k)**2)/4.
+
+    q divides g(k) exactly when b = top - 2k has b**2 = disc mod q, so a
+    square root t of disc mod q (Euler's criterion, then Tonelli-Shanks)
+    gives k = (top -+ t)/2 mod q: one root when q divides disc, two when
+    disc is a nonzero square mod q, none otherwise.
+    """
+    dq = disc % q
+    if dq and pow(dq, (q - 1) >> 1, q) != 1:
+        return []
+    t = intkit.sqrt_mod_prime(dq, q)
+    half = (q + 1) >> 1  # the inverse of 2 mod q
+    k1, k2 = (top - t) * half % q, (top + t) * half % q
+    return [k1] if k1 == k2 else [k1, k2]
 
 
-def _window_divisors(disc: int, s: int) -> Iterator[tuple[int, int, list[int]]]:
-    """(b, m_b, ds) for every admissible b that may have reduced forms,
-    where m_b = (disc - b**2)/4 and ds lists the divisors d of m_b with
-    s - b < 2d <= s + b, ascending.
+def _tower(disc: int, s: int, top: int, q: int) -> list[tuple[int, list[int]]]:
+    """(q**e, roots of g mod q**e) for e = 1, 2, ... while q**e <= s and
+    roots are left.
+
+    Every root mod q**e reduces to one mod q**(e-1), so testing
+    r + i * q**(e-1) for i < q over the roots r one level down finds them
+    all.  Started from the single root 0 mod 1, the same step gives the
+    roots mod 2, and it needs no case for a q that divides disc.
+    """
+    c = (disc - top * top) >> 2  # g(k) = c + top*k - k*k
+    qe, roots = 1, [0]
+    tower = []
+    if q > 2:
+        qe, roots = q, _prime_roots(disc, top, q)
+        tower.append((qe, roots))
+    while roots and qe * q <= s:
+        step, qe = qe, qe * q
+        roots = [x for r in roots for x in range(r, qe, step)
+                 if (c + (top - x) * x) % qe == 0]
+        tower.append((qe, roots))
+    return [(qe, roots) for qe, roots in tower if roots]
+
+
+def _crt(a: int, roots: list[int], q: int, qroots: list[int]) -> list[int]:
+    """The roots mod a*q that reduce to one of ``roots`` mod a and to one of
+    ``qroots`` mod q, for coprime a and q."""
+    inv = pow(a, -1, q)
+    return [r + a * ((t - r) * inv % q) for r in roots for t in qroots]
+
+
+def _in_window(a: int, ks: list[int], s: int, top: int) -> list[int]:
+    """The roots k mod a whose b = top - 2k lies in a's window."""
+    if 2 * a <= s:  # the window holds the a values k = 0..a-1
+        return ks
+    cap = (top + s - 2 * a) >> 1  # b = top - 2k >= 2a - s
+    return [k for k in ks if k <= cap]
+
+
+def _window_roots(disc: int, s: int, top: int) -> Iterator[tuple[int, list[int]]]:
+    """(a, ks) for each a in 1..s that divides some m_b = (disc - b**2)/4,
+    where ks lists each k >= 0 for which a divides m_b at b = top - 2k,
+    with b in the reduction window s - b < 2a <= s + b.
 
     For each admissible b the product -a*c of a reduced form is m_b, so
-    (d, b, -m_b/d) and (-d, b, m_b/d) for d in ds are the reduced forms with
-    that b.  As sqrt(disc) is irrational, |sqrt(disc) - 2|a|| < b reads
-    s - b < 2|a| <= s + b with s = isqrt(disc).  Both |a| and
-    |c| = m_b/|a| < (sqrt(disc) + b)/2 are at most s, so a b whose m_b has
-    a prime factor above s has no reduced form and is skipped unexpanded.
+    (a, b, -m_b/a) and (-a, b, m_b/a) are the reduced forms of leading
+    coefficient +-a.  As sqrt(disc) is irrational, |sqrt(disc) - 2|a|| < b
+    reads s - b < 2|a| <= s + b with s = isqrt(disc), and so |a| <= s.
 
-    Every m_b is factored by one sieve over b, a block of b values at a
-    time: an odd prime q divides m_b exactly when b**2 = disc mod q, so q is
-    divided out along the progressions of b from the (at most two) roots.
-    Sieving every prime up to sqrt(m_b) for the smallest b leaves a
-    cofactor of 1 or a prime, so every factorization is complete.
+    a divides m_b exactly when k is a root of g(k) = m_b mod a, and the
+    roots mod a are the CRT combinations of the roots mod its prime powers.
+    The a made of primes up to isqrt(s) come from a depth-first walk over
+    products of their towers' powers.  Every other a is one of those times
+    a single larger prime q, and is formed last, q by q, so the roots of
+    each such q are found once and held only while it is used.
     """
-    b0 = 2 - (disc % 2)  # smallest positive b with b**2 = disc mod 4
-    count = (s - b0) // 2 + 1
-    pairs = _progressions(disc, b0, math.isqrt((disc - b0 * b0) // 4))
-    for lo in range(0, count, _SIEVE_BLOCK):
-        bs = range(b0 + 2 * lo, b0 + 2 * min(lo + _SIEVE_BLOCK, count), 2)
-        ms = [(disc - b * b) >> 2 for b in bs]
-        rest = []
-        factors: list[list[tuple[int, int]]] = []
-        for m in ms:
-            e = (m & -m).bit_length() - 1
-            rest.append(m >> e)
-            factors.append([(2, e)] if e else [])
-        for q, i0 in pairs:
-            for j in range((i0 - lo) % q, len(ms), q):
-                m, e = rest[j] // q, 1
-                while m % q == 0:
-                    m, e = m // q, e + 1
-                rest[j] = m
-                factors[j].append((q, e))
-        for b, m, cof, fct in zip(bs, ms, rest, factors):
-            if cof > s:
-                continue
-            if cof > 1:
-                fct.append((cof, 1))
-            divs = intkit.expand_divisors(fct)
-            yield b, m, divs[bisect_right(divs, (s - b) >> 1):
-                             bisect_right(divs, (s + b) >> 1)]
+    primes = intkit.primes_up_to(s)
+    small = bisect_right(primes, max(2, math.isqrt(s)))  # 2 takes a tower
+    towers = [(q, _tower(disc, s, top, q)) for q in primes[:small]]
+    low_max = s // primes[small] if small < len(primes) else 0
+    low = []  # (a, roots) for the a that a larger prime may extend
+    yield 1, [0]
+    stack = [(1, [0], 0)]
+    while stack:
+        a, roots, start = stack.pop()
+        if a <= low_max:
+            low.append((a, roots))
+        for i in range(start, len(towers)):
+            q, tower = towers[i]
+            if a * q > s:
+                break
+            for qe, qroots in tower:
+                aq = a * qe
+                if aq > s:
+                    break
+                ks = _crt(a, roots, qe, qroots)
+                stack.append((aq, ks, i + 1))
+                yield aq, _in_window(aq, ks, s, top)
+    low.sort()
+    for q in primes[small:]:
+        qroots = _prime_roots(disc, top, q)
+        if not qroots:
+            continue
+        for a, roots in low:
+            aq = a * q
+            if aq > s:
+                break
+            yield aq, _in_window(aq, _crt(a, roots, q, qroots), s, top)
 
 
 def reduced_forms(disc: int) -> list[Form]:
-    """All reduced forms of the given discriminant, sorted."""
+    """All reduced forms of the given discriminant, sorted.
+
+    >>> reduced_forms(8)
+    [(-1, 2, 1), (1, 2, -1)]
+    """
+    s = _valid_disc(disc)
+    top = _top_b(disc, s)
     forms: list[Form] = []
-    for b, m, ds in _window_divisors(disc, _valid_disc(disc)):
-        for dv in ds:
-            forms.append((dv, b, -(m // dv)))
-            forms.append((-dv, b, m // dv))
+    for a, ks in _window_roots(disc, s, top):
+        for k in ks:
+            b = top - 2 * k
+            c = ((disc - b * b) >> 2) // a
+            forms.append((a, b, -c))
+            forms.append((-a, b, c))
     forms.sort()
     return forms
 
@@ -185,14 +236,19 @@ def _distance_bounds(disc: int, s: int) -> tuple[int, int]:
     bits, lo down and hi up, whenever they grow past it; lo never shrinks,
     as each factor is above 1.
     """
+    top = _top_b(disc, s)
+    counts = [0] * ((top + 1) >> 1)  # n_b at b = top - 2k, for k = 0, 1, ...
+    for _, ks in _window_roots(disc, s, top):
+        for k in ks:
+            counts[k] += 1
     root = math.isqrt(disc << 2 * _BITS)
     lo = hi = 1 << 2 * _BITS
     e = -2 * _BITS
-    for b, _, ds in _window_divisors(disc, s):
-        n = len(ds)
+    for k in range(len(counts) - 1, -1, -1):  # ascending b
+        n = counts[k]
         if not n:
             continue
-        z = b << _BITS
+        z = (top - 2 * k) << _BITS
         lo = lo * (root + z)**n // (root - z + 1)**n
         hi = -(-hi * (root + z + 1)**n // (root - z)**n)
         extra = hi.bit_length() - 2 * _BITS

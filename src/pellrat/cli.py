@@ -408,6 +408,9 @@ def cmd_scan(args) -> int:
             return _usage(f"--m must be 'one', 'bound', or an integer, got {policy!r}")
         if m_arg < 1:
             return _usage(f"--m must be >= 1, got {m_arg}")
+        if all(m_arg % p == 0 for p in ps):  # no cell would be left to scan
+            return _usage(f"m must be coprime to p, got m={m_arg}, "
+                          f"p={','.join(map(str, ps))}")
     if policy == "bound":
         for p in ps:
             for r in rs:

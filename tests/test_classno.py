@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -45,11 +46,29 @@ def test_sieve_matches_the_by_b_enumeration_on_cell_discs(disc):
 
 
 def test_window_divisors_are_closed_under_the_cofactor():
-    # the distance sum pairs (d, b, -m/d) with (-m/d, b, d) and so needs
+    # the distance sum pairs (a, b, -m/a) with (-m/a, b, a) and so needs
     # only the number of window divisors at each b
     for disc in DISCS + CELL_DISCS:
-        for b, m, ds in classno._window_divisors(disc, classno._valid_disc(disc)):
-            assert sorted(m // d for d in ds) == ds, (disc, b)
+        s = classno._valid_disc(disc)
+        top = classno._top_b(disc, s)
+        by_b = {}
+        for a, ks in classno._window_roots(disc, s, top):
+            for k in ks:
+                by_b.setdefault(top - 2 * k, []).append(a)
+        for b, ds in by_b.items():
+            m = (disc - b * b) // 4
+            assert sorted(m // d for d in ds) == sorted(ds), (disc, b)
+
+
+VALID_DISCS = [d for d in range(5, 3000)
+               if d % 4 in (0, 1) and math.isqrt(d) ** 2 != d]
+
+
+def test_enumeration_by_a_matches_the_by_b_enumeration_below_3000():
+    # every discriminant, fundamental or not, so that q | disc, q**2 | disc
+    # and 8 | disc reach the lifts to prime powers, the 2-adic ones included
+    for disc in VALID_DISCS:
+        assert classno.reduced_forms(disc) == by_b_reduced_forms(disc), disc
 
 
 def test_class_number_factors_nothing(monkeypatch):
@@ -68,7 +87,8 @@ def test_class_number_factors_nothing(monkeypatch):
 
 def test_narrow_class_number_at_1_5e9_within_budget():
     # cell (3, 9); with one factor() call per b this took about 3.5 s on a
-    # 2-core machine, and the sieve takes about 0.5 s there
+    # 2-core machine, a sieve over b about 0.5 s, and the enumeration by the
+    # leading coefficient takes about 0.06 s there
     t0 = time.perf_counter()
     assert classno.narrow_class_number(1549681960) == 2520
     elapsed = time.perf_counter() - t0
@@ -198,9 +218,18 @@ def test_log2_bounds_hold_against_a_decimal_reference(x):
     assert -slack <= ref - lo <= 6 and -slack <= hi - ref <= 6
 
 
+def test_narrow_class_number_past_the_default_ceiling_within_budget():
+    # cell (3, 10) at disc 1.4e10; about 0.45 s by a sieve over b on a
+    # 2-core machine and about 0.15 s by the enumeration over a
+    t0 = time.perf_counter()
+    assert classno.narrow_class_number(13947137608, ceiling=10**11) == 4560
+    elapsed = time.perf_counter() - t0
+    assert elapsed <= 1.0, f"{elapsed:.2f} s (budget 1.0 s)"
+
+
 def test_narrow_class_number_at_1_5e9_holds_no_form_list():
     # cell (3, 9): the walk held all 44,800 forms, a 9 MB peak; the sum
-    # holds one sieve block
+    # holds one count per b and the root lists of the a below sqrt(s)
     tracemalloc.start()
     try:
         assert classno.narrow_class_number(1549681960) == 2520

@@ -184,6 +184,16 @@ def test_scan_explicit_m(capsys):
     assert [(row["p"], row["m"]) for row in rows] == [("3", "5")]
 
 
+def test_scan_refuses_an_m_that_every_p_divides(capsys):
+    # as `field` does; a mixed list still skips only its divided cells
+    code, out, err = run(capsys, "scan", "--p", "3", "--r", "2", "--m", "3")
+    assert (code, out) == (1, "")
+    assert "m must be coprime to p, got m=3, p=3" in err
+    code, out, err = run(capsys, "scan", "--p", "3,5", "--r", "2", "--m", "15")
+    assert (code, out) == (1, "")
+    assert "m must be coprime to p, got m=15, p=3,5" in err
+
+
 def test_scan_rows_sorted_and_deterministic(capsys):
     args = ("--r", "2..3", "--m", "one")
     code, out1, _ = run(capsys, "scan", "--p", "7,3,5", *args)
