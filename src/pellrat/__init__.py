@@ -13,7 +13,7 @@ from .errors import (DefectError, DiscriminantTooLarge, IncompleteFactorization,
                      NoEmbedding, NotAUnit, PrecisionExhausted, ToolkitError)
 from .intkit import (Factorization, factor, is_prime, is_wieferich, jacobi,
                      perfect_power, squarefree_decompose, valuation)
-from .invariants import (CoatesLedger, InvariantReport, build_report, coates_ledger,
+from .invariants import (CoatesLedger, build_report, coates_ledger,
                          epsilon_congruence_check, field_context, n1_certificate,
                          n2_of)
 from .padic import (SplitPrimeEmbedding, congruence_order, family_embedding,

@@ -24,8 +24,10 @@ from dataclasses import dataclass, fields
 from . import classno, intkit, invariants, padic, pellseq
 from .errors import (DefectError, IncompleteFactorization, PrecisionExhausted,
                      ToolkitError)
-# fundamental_unit is unused since the field context owns eps; bench/spans.py traces it here
-from .quadfield import (construct_family, fundamental_unit,  # noqa: F401
+from .invariants import ScanRecord, null_record
+# fundamental_unit is unused since the field context owns eps; bench/test_bench.py
+# reads cli.fundamental_unit to check that the bench's spans wrap every binding
+from .quadfield import (check_cell, construct_family, fundamental_unit,  # noqa: F401
                         m_bound_floor, m_bound_satisfied)
 
 EXIT_OK = 0
@@ -110,44 +112,10 @@ class FactorCache:
 # scan records
 
 
-@dataclass(frozen=True, kw_only=True)
-class ScanRecord:
-    """One table row; the defaults are the values of a row without a field."""
-
-    p: int
-    r: int
-    m: int
-    N: int
-    b: int | None = None
-    D: int | None = None
-    disc: int | None = None
-    unit: tuple[int, int, int] | None = None  # (u, v, den)
-    unit_norm: int | None = None
-    t_is_fundamental: bool | None = None
-    splits: bool | None = None
-    n2: int | None = None
-    n1_is_one: str = invariants.N1_UNKNOWN
-    class_number: int | None = None
-    h_val_p: int | None = None
-    wieferich: bool
-    m_bound_ok: bool
-    p_rational: str = invariants.INCONCLUSIVE
-    greenberg: str = invariants.INCONCLUSIVE
-    an_prediction: int | None = None
-    notes: tuple[str, ...]
-
-
 FIELD_NAMES = tuple(f.name for f in fields(ScanRecord))
 
 # columns rendered as arbitrary-precision decimal strings in JSON
 _BIG_FIELDS = {"N", "b", "D", "disc", "class_number", "an_prediction"}
-
-
-def null_record(p: int, r: int, m: int, note: str) -> ScanRecord:
-    """The row of a cell whose field could not be built."""
-    return ScanRecord(p=p, r=r, m=m, N=m * m * p ** (2 * r) + 1,
-                      wieferich=intkit.is_wieferich(p),
-                      m_bound_ok=m_bound_satisfied(p, r, m), notes=(note,))
 
 
 def compute_record(p: int, r: int, m: int, opts: PipelineOptions,
@@ -162,17 +130,7 @@ def compute_record(p: int, r: int, m: int, opts: PipelineOptions,
     fam = construct_family(p, r, m,
                            factor_fn=lambda v: cache.factor(v, opts.factor_effort))
     ctx = invariants.field_context(fam, opts.classno_ceiling, opts.precision_cap, strict)
-    report, notes = invariants.build_report(ctx)
-    eps = ctx.eps
-    return ScanRecord(
-        p=p, r=r, m=m, N=fam.n, b=fam.b, D=fam.d, disc=fam.field.disc,
-        unit=(eps.u, eps.v, eps.den), unit_norm=ctx.unit_norm,
-        t_is_fundamental=ctx.t_is_fundamental,
-        splits=True,  # construct_family raised DefectError unless p splits
-        n2=report.n2, n1_is_one=report.n1_is_one, class_number=report.class_number,
-        h_val_p=report.h_val_p, wieferich=report.wieferich, m_bound_ok=ctx.m_bound_ok,
-        p_rational=report.p_rational_verdict, greenberg=report.greenberg_verdict,
-        an_prediction=report.an_prediction, notes=tuple(notes))
+    return invariants.build_report(ctx)
 
 
 def _csv_cell(name: str, value) -> str:
@@ -318,11 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def pipeline_flags(sp):
         sp.add_argument("--factor-effort", type=int, default=intkit.DEFAULT_FACTOR_EFFORT,
-                        help="trial-division / rho budget (default 1000000)")
+                        help="trial-division / rho budget (default %(default)s)")
         sp.add_argument("--precision-cap", type=int, default=padic.DEFAULT_PRECISION_CAP,
-                        help="max base-p digits for valuations (default 64)")
+                        help="max base-p digits for valuations (default %(default)s)")
         sp.add_argument("--classno-ceiling", type=int, default=classno.DEFAULT_DISC_CEILING,
-                        help="skip class numbers above this discriminant (default 10^10)")
+                        help="skip class numbers above this discriminant (default %(default)s)")
         sp.add_argument("--cache", default=None, help="factorization cache file")
         sp.add_argument("--format", choices=("csv", "json"), default=None)
         sp.add_argument("--out", default=None, help="output path (default stdout)")
@@ -369,19 +327,14 @@ def _options_from(args) -> PipelineOptions:
 
 
 def cmd_field(args) -> int:
-    p, r, m = args.p, args.r, args.m
-    if p < 3 or p % 2 == 0 or not intkit.is_prime(p):
-        return _usage(f"p must be an odd prime, got {p}")
-    if r < 2:
-        return _usage(f"r must be >= 2, got {r}")
-    if m < 1:
-        return _usage(f"m must be >= 1, got {m}")
-    if m % p == 0:
-        return _usage(f"m must be coprime to p, got m={m}, p={p}")
+    try:
+        check_cell(args.p, args.r, args.m)
+    except ValueError as exc:
+        return _usage(str(exc))
     opts = _options_from(args)
     cache = FactorCache(args.cache)
     try:
-        rec = compute_record(p, r, m, opts, cache, strict=True)
+        rec = compute_record(args.p, args.r, args.m, opts, cache, strict=True)
     except IncompleteFactorization as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FACTOR

@@ -1,4 +1,4 @@
-"""Verdict layer: unit congruences, torsion ledger, and certified verdicts.
+"""Verdict layer: unit congruences, torsion ledger, and the table row.
 
 The central computable fact about a family field is whether the fundamental
 unit eps satisfies eps**(p-1) = 1 mod p**2.  Within the exact coefficient
@@ -7,6 +7,10 @@ instead of producing data.  The congruence feeds a valuation ledger for the
 p-part of the torsion group; a positive lower bound certifies that the
 field is not p-rational.  On top of that sit the two residue orders n1 and
 n2 that drive the mu = lambda = 0 verdict and its |A_n| prediction.
+
+`field_context` computes a field's quantities once; `build_report` reads
+them and returns the field's `ScanRecord`, the row every output format
+renders.
 """
 
 from __future__ import annotations
@@ -137,37 +141,7 @@ def _ledger(p: int, h: int | None, unit_congruence: bool) -> CoatesLedger:
 
 
 # ---------------------------------------------------------------------------
-# one family field: its context and the verdict path
-
-
-@dataclass(frozen=True)
-class InvariantReport:
-    family: FamilyField
-    n2: int | None
-    n1_is_one: str
-    wieferich: bool
-    class_number: int | None
-    h_val_p: int | None
-    coates: CoatesLedger
-    p_rational_verdict: str
-    greenberg_verdict: str
-    greenberg_reason: str | None
-    an_prediction: int | None
-
-    @property
-    def torsion_lower_bound(self) -> int:
-        return self.coates.torsion_lower_bound
-
-    def __post_init__(self):
-        if self.p_rational_verdict == NON_P_RATIONAL and self.torsion_lower_bound < 1:
-            raise DefectError("non-p-rational verdict without a positive bound")
-        if self.greenberg_verdict == MU_LAMBDA_ZERO:
-            if self.n1_is_one != N1_CERTIFIED or self.h_val_p != 0:
-                raise DefectError("mu-lambda-zero without the certificate chain")
-            if self.n2 is None or self.an_prediction != self.family.p ** (self.n2 - 1):
-                raise DefectError("prediction must be p**(n2 - 1)")
-        elif self.an_prediction is not None:
-            raise DefectError("prediction present without a verdict")
+# one family field: its context and its row
 
 
 @dataclass(frozen=True)
@@ -245,8 +219,57 @@ def field_context(fam: FamilyField,
         class_number=h, h_missing=h_missing)
 
 
-def build_report(ctx: FieldContext) -> tuple[InvariantReport, list[str]]:
-    """Full invariant report plus notes explaining every missing value.
+@dataclass(frozen=True, kw_only=True)
+class ScanRecord:
+    """One table row; the defaults are the values of a row without a field.
+
+    A mu-lambda-zero row must carry the certificate chain (n1 certified,
+    p not dividing h) and the prediction p**(n2 - 1), and any other row no
+    prediction; construction raises DefectError otherwise.
+    """
+
+    p: int
+    r: int
+    m: int
+    N: int
+    b: int | None = None
+    D: int | None = None
+    disc: int | None = None
+    unit: tuple[int, int, int] | None = None  # (u, v, den)
+    unit_norm: int | None = None
+    t_is_fundamental: bool | None = None
+    splits: bool | None = None
+    n2: int | None = None
+    n1_is_one: str = N1_UNKNOWN
+    class_number: int | None = None
+    h_val_p: int | None = None
+    wieferich: bool
+    m_bound_ok: bool
+    p_rational: str = INCONCLUSIVE
+    greenberg: str = INCONCLUSIVE
+    an_prediction: int | None = None
+    notes: tuple[str, ...]
+
+    def __post_init__(self):
+        if self.greenberg == MU_LAMBDA_ZERO:
+            if self.n1_is_one != N1_CERTIFIED or self.h_val_p != 0:
+                raise DefectError("mu-lambda-zero without the certificate chain")
+            if self.n2 is None or self.an_prediction != self.p ** (self.n2 - 1):
+                raise DefectError("prediction must be p**(n2 - 1)")
+        elif self.an_prediction is not None:
+            raise DefectError("prediction present without a verdict")
+
+
+def null_record(p: int, r: int, m: int, note: str) -> ScanRecord:
+    """The row of a cell whose field could not be built."""
+    return ScanRecord(p=p, r=r, m=m, N=m * m * p ** (2 * r) + 1,
+                      wieferich=intkit.is_wieferich(p),
+                      m_bound_ok=m_bound_satisfied(p, r, m), notes=(note,))
+
+
+def build_report(ctx: FieldContext) -> ScanRecord:
+    """The table row of one family field, with notes explaining every
+    missing value and every inconclusive Greenberg verdict.
 
     The one place that decides the certificate chain, the verdict gate
     inside the coefficient bound and both verdicts.  It computes nothing
@@ -266,9 +289,6 @@ def build_report(ctx: FieldContext) -> tuple[InvariantReport, list[str]]:
             f"verdict inconclusive inside the bound at (p={p}, r={fam.r}, m={fam.m})")
 
     n1 = N1_UNKNOWN
-    greenberg = INCONCLUSIVE
-    reason: str | None
-    prediction: int | None = None
     if fam.m != 1:
         reason = "certificate route needs m = 1"
     elif wief:
@@ -281,18 +301,19 @@ def build_report(ctx: FieldContext) -> tuple[InvariantReport, list[str]]:
         reason = "precision exhausted"
     else:
         n1 = _n1_route(ctx)
-        if n1 == N1_CERTIFIED:
-            greenberg = MU_LAMBDA_ZERO
-            prediction = p ** (n2 - 1)
-            reason = None
-        else:
-            reason = f"n1 certificate {n1}"
-    if reason is not None:
+        reason = None if n1 == N1_CERTIFIED else f"n1 certificate {n1}"
+    if reason is None:
+        greenberg, prediction = MU_LAMBDA_ZERO, p ** (n2 - 1)
+    else:
+        greenberg, prediction = INCONCLUSIVE, None
         notes.append(f"greenberg inconclusive: {reason}")
 
-    report = InvariantReport(
-        family=fam, n2=n2, n1_is_one=n1, wieferich=wief, class_number=h,
-        h_val_p=h_val, coates=ledger, p_rational_verdict=p_rational,
-        greenberg_verdict=greenberg, greenberg_reason=reason,
-        an_prediction=prediction)
-    return report, notes
+    eps = ctx.eps
+    return ScanRecord(
+        p=p, r=fam.r, m=fam.m, N=fam.n, b=fam.b, D=fam.d, disc=fam.field.disc,
+        unit=(eps.u, eps.v, eps.den), unit_norm=ctx.unit_norm,
+        t_is_fundamental=ctx.t_is_fundamental,
+        splits=True,  # construct_family raised DefectError unless p splits
+        n2=n2, n1_is_one=n1, class_number=h, h_val_p=h_val, wieferich=wief,
+        m_bound_ok=ctx.m_bound_ok, p_rational=p_rational, greenberg=greenberg,
+        an_prediction=prediction, notes=tuple(notes))

@@ -308,26 +308,31 @@ def m_bound_satisfied(p: int, r: int, m: int) -> bool:
     return m <= m_bound_floor(p, r)
 
 
+def check_cell(p: int, r: int, m: int) -> None:
+    """Raise ValueError unless p is an odd prime, r >= 2, and m >= 1 is coprime to p."""
+    if p < 3 or p % 2 == 0 or not intkit.is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if r < 2:
+        raise ValueError(f"r must be >= 2, got {r}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if m % p == 0:
+        raise ValueError(f"m must be coprime to p, got m={m}, p={p}")
+
+
 def construct_family(p: int, r: int, m: int = 1,
                      factor_fn=intkit.factor) -> FamilyField:
     """Build the family field for (p, r, m).
 
-    Requires p an odd prime, r >= 2, m >= 1 coprime to p.  The radicand
-    N = m**2 * p**(2r) + 1 is factored by ``factor_fn(N)``, which returns
-    an `intkit.Factorization` and carries the caller's effort budget and
+    The cell must pass `check_cell`.  The radicand N = m**2 * p**(2r) + 1
+    is factored by ``factor_fn(N)``, which returns an
+    `intkit.Factorization` and carries the caller's effort budget and
     cache (the default is `intkit.factor` at its default effort).  An
     incomplete factorization raises IncompleteFactorization, since the
     squarefree part cannot be certified without it.  The two structural
     guarantees -- norm(t) = -1 and p split -- are verified.
     """
-    if p < 3 or p % 2 == 0 or not intkit.is_prime(p):
-        raise ValueError("p must be an odd prime")
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m % p == 0:
-        raise ValueError("m must be coprime to p")
+    check_cell(p, r, m)
     n = m * m * p ** (2 * r) + 1
     b, d = intkit.squarefree_decompose(n, factorization=factor_fn(n))
     if d == 1:

@@ -4,7 +4,8 @@ Everything here favors directness over speed: plain trial division, a
 brute-force unit search that walks v upward, and a quadratic-form counter
 that scans the whole (a, b) box instead of enumerating divisors.  The
 production code must agree with these on every overlapping input.  The
-file also holds the checks of the paper's lemmas that only the tests run.
+file also holds the checks of the paper's lemmas that only the tests run,
+and the reader of a row's Greenberg note.
 
 Functions that need `pellrat` import it inside their bodies, so that
 importing this file stays light.
@@ -411,3 +412,11 @@ def g_gcd_oracle(l: int, m: int) -> int:
     if l < 1 or m < 1:
         raise ValueError("indices must be >= 1")
     return math.gcd(pell_pair(l).g, pell_pair(m).g)
+
+
+def inconclusive_reason(row) -> str | None:
+    """The <reason> of a row's `greenberg inconclusive: <reason>` note, or None."""
+    prefix = "greenberg inconclusive: "
+    reasons = [note[len(prefix):] for note in row.notes if note.startswith(prefix)]
+    assert len(reasons) <= 1, row.notes
+    return reasons[0] if reasons else None

@@ -19,7 +19,8 @@ import time
 from functools import lru_cache
 
 from oracles import (addition_identity_check, fib_unit_equivalence, g_gcd_oracle,
-                     lemma_n1_congruence, slow_class_number, squarefree_split)
+                     inconclusive_reason, lemma_n1_congruence, slow_class_number,
+                     squarefree_split)
 
 from pellrat import classno, cli, intkit, invariants, padic, pellseq
 from pellrat import quadfield as qf
@@ -64,7 +65,7 @@ def test_criterion_01_unit_congruence_and_non_p_rationality():
     # class number (ceiling 0) the ledger alone must certify the verdict
     for p, r in [(3, 2), (3, 4), (5, 2), (7, 2), (11, 2), (11, 4)]:
         ctx = invariants.field_context(qf.construct_family(p, r, 1), classno_ceiling=0)
-        if invariants.build_report(ctx)[0].p_rational_verdict != invariants.NON_P_RATIONAL:
+        if invariants.build_report(ctx).p_rational != invariants.NON_P_RATIONAL:
             bad.append((p, r, 1, "entry point"))
     elapsed = time.time() - t0
     report(1, not bad and elapsed < 60,
@@ -111,21 +112,22 @@ def test_criterion_04_n1_lemma_and_greenberg_verdicts():
             fam = qf.construct_family(p, r, 1)
             if not lemma_n1_congruence(fam):
                 bad.append((p, r, "congruence"))
-            res, _ = invariants.build_report(invariants.field_context(fam, strict=True))
-            if res.greenberg_verdict == invariants.MU_LAMBDA_ZERO:
+            res = invariants.build_report(invariants.field_context(fam, strict=True))
+            reason = inconclusive_reason(res)
+            if res.greenberg == invariants.MU_LAMBDA_ZERO:
                 if res.an_prediction != p ** (r - 1):
                     bad.append((p, r, "prediction"))
-            elif res.greenberg_reason in ("p divides class number", "class number uncomputed"):
-                excluded.append((p, r, res.greenberg_reason))
+            elif reason in ("p divides class number", "class number uncomputed"):
+                excluded.append((p, r, reason))
             else:
-                bad.append((p, r, res.greenberg_reason))
+                bad.append((p, r, reason))
     # the anchor cell, with the class number confirmed by the slow oracle
     anchor = qf.construct_family(3, 2, 1)
     h_fast = classno.class_number(anchor.field)
     h_slow = slow_class_number(82)
-    res, _ = invariants.build_report(invariants.field_context(anchor, strict=True))
+    res = invariants.build_report(invariants.field_context(anchor, strict=True))
     if not (anchor.d == 82 and h_fast == h_slow == 4
-            and res.greenberg_verdict == invariants.MU_LAMBDA_ZERO and res.an_prediction == 3):
+            and res.greenberg == invariants.MU_LAMBDA_ZERO and res.an_prediction == 3):
         bad.append((3, 2, "anchor"))
     elapsed = time.time() - t0
     report(4, not bad and elapsed < 60,

@@ -49,14 +49,26 @@ def test_field_outside_bound_still_reports(capsys):
 
 
 def test_field_usage_errors(capsys):
-    for argv in (["field", "--p", "2", "--r", "2"],
-                 ["field", "--p", "9", "--r", "2"],
-                 ["field", "--p", "3", "--r", "1"],
-                 ["field", "--p", "3", "--r", "2", "--m", "6"],
-                 ["field", "--p", "3", "--r", "2", "--m", "0"]):
-        code, _, err = run(capsys, *argv)
-        assert code == 1, argv
-        assert "error" in err
+    for argv, message in (
+            (["field", "--p", "2", "--r", "2"], "p must be an odd prime, got 2"),
+            (["field", "--p", "9", "--r", "2"], "p must be an odd prime, got 9"),
+            (["field", "--p", "3", "--r", "1"], "r must be >= 2, got 1"),
+            (["field", "--p", "3", "--r", "2", "--m", "6"],
+             "m must be coprime to p, got m=6, p=3"),
+            (["field", "--p", "3", "--r", "2", "--m", "0"], "m must be >= 1, got 0")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), argv
+
+
+@pytest.mark.parametrize("p, r, m", [(3, 2, 1), (3, 2, 5), (1093, 2, 1)])
+def test_field_json_is_the_scan_row(capsys, p, r, m):
+    # (3, 2, 5) lies outside the coefficient bound; 1093 is a Wieferich prime
+    cell = ("--p", str(p), "--r", str(r), "--m", str(m), "--format", "json")
+    code, field_out, _ = run(capsys, "field", *cell)
+    assert code == 0
+    code, scan_out, _ = run(capsys, "scan", *cell)
+    assert code == 0
+    assert [json.loads(field_out)] == json.loads(scan_out)
 
 
 def test_argparse_errors_use_exit_code_one(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import fib_unit_equivalence, gen_fib, lemma_n1_congruence
+from oracles import fib_unit_equivalence, gen_fib, inconclusive_reason, lemma_n1_congruence
 
 from pellrat import classno, cli, invariants, padic
 from pellrat import quadfield as qf
@@ -148,13 +148,11 @@ def test_coates_ledger_rejects_inert_prime():
 
 def p_rational(f):
     # the ledger's verdict with the class number refused (ceiling 0)
-    report, _ = invariants.build_report(invariants.field_context(f, classno_ceiling=0))
-    return report.p_rational_verdict
+    return invariants.build_report(invariants.field_context(f, classno_ceiling=0)).p_rational
 
 
 def greenberg(f, **kwargs):
-    report, _ = invariants.build_report(invariants.field_context(f, strict=True, **kwargs))
-    return report
+    return invariants.build_report(invariants.field_context(f, strict=True, **kwargs))
 
 
 
@@ -170,44 +168,44 @@ def test_p_rationality_inconclusive_outside_bound():
 
 def test_greenberg_verdict_anchor():
     res = greenberg(fam(3, 2))
-    assert res.greenberg_verdict == invariants.MU_LAMBDA_ZERO
+    assert res.greenberg == invariants.MU_LAMBDA_ZERO
     assert res.an_prediction == 3
-    assert res.greenberg_reason is None
+    assert inconclusive_reason(res) is None
 
 
 def test_greenberg_verdict_grid():
     for p, r, pred in [(3, 4, 27), (3, 5, 81), (5, 2, 5), (5, 3, 25),
                        (7, 2, 7), (7, 3, 49)]:
         res = greenberg(fam(p, r))
-        assert (res.greenberg_verdict, res.an_prediction) == (invariants.MU_LAMBDA_ZERO, pred)
+        assert (res.greenberg, res.an_prediction) == (invariants.MU_LAMBDA_ZERO, pred)
 
 
 def test_greenberg_inconclusive_when_p_divides_h():
     res = greenberg(fam(3, 3))
-    assert res.greenberg_verdict == invariants.INCONCLUSIVE
+    assert res.greenberg == invariants.INCONCLUSIVE
     assert res.an_prediction is None
-    assert res.greenberg_reason == "p divides class number"
+    assert inconclusive_reason(res) == "p divides class number"
 
 
 def test_greenberg_wieferich_gate_fires_first():
     # 1093 is Wieferich and h lies past the ceiling: the Wieferich reason comes first
     res = greenberg(fam(1093, 2))
-    assert res.greenberg_verdict == invariants.INCONCLUSIVE
-    assert res.greenberg_reason == "Wieferich prime"
+    assert res.greenberg == invariants.INCONCLUSIVE
+    assert inconclusive_reason(res) == "Wieferich prime"
 
 
 def test_greenberg_ceiling_is_inconclusive_not_wrong():
     res = greenberg(fam(7, 5), classno_ceiling=100)
-    assert res.greenberg_verdict == invariants.INCONCLUSIVE
-    assert res.greenberg_reason == "class number uncomputed"
+    assert res.greenberg == invariants.INCONCLUSIVE
+    assert inconclusive_reason(res) == "class number uncomputed"
 
 
 def test_greenberg_injected_h():
     # verdict branches on the injected class number without computing one
     ctx = invariants.field_context(fam(3, 2), classno_ceiling=0, strict=True)
-    res, _ = invariants.build_report(replace(ctx, class_number=3, h_missing=None))
-    assert res.greenberg_verdict == invariants.INCONCLUSIVE
-    assert res.greenberg_reason == "p divides class number"
+    res = invariants.build_report(replace(ctx, class_number=3, h_missing=None))
+    assert res.greenberg == invariants.INCONCLUSIVE
+    assert inconclusive_reason(res) == "p divides class number"
 
 
 def scan_rows(capsys, *argv):
@@ -231,46 +229,40 @@ def test_distinct_fields_scan_records_failures(capsys):
     assert all(row["notes"] == "factorization incomplete" for row in failed)
 
 
-def test_invariant_report_defect_guards():
-    report, notes = invariants.build_report(invariants.field_context(fam(3, 2)))
-    assert notes == []
-    assert report.n2 == 2
-    assert report.an_prediction == 3
-    kwargs = dict(
-        family=report.family, n2=report.n2, n1_is_one=report.n1_is_one,
-        wieferich=report.wieferich, class_number=report.class_number,
-        h_val_p=report.h_val_p, coates=report.coates,
-        p_rational_verdict=report.p_rational_verdict,
-        greenberg_verdict=report.greenberg_verdict,
-        greenberg_reason=report.greenberg_reason,
-        an_prediction=report.an_prediction)
-    with pytest.raises(DefectError):
-        invariants.InvariantReport(**{**kwargs, "an_prediction": 9})
-    with pytest.raises(DefectError):
-        invariants.InvariantReport(**{**kwargs, "h_val_p": 1})
-    with pytest.raises(DefectError):
-        invariants.InvariantReport(
-            **{**kwargs, "greenberg_verdict": invariants.INCONCLUSIVE})
+def test_row_defect_guards():
+    row = invariants.build_report(invariants.field_context(fam(3, 2)))
+    assert row.notes == ()
+    assert row.n2 == 2
+    assert row.an_prediction == 3
+    with pytest.raises(DefectError, match="prediction must be"):
+        replace(row, an_prediction=9)
+    with pytest.raises(DefectError, match="certificate chain"):
+        replace(row, h_val_p=1)
+    with pytest.raises(DefectError, match="prediction present without a verdict"):
+        replace(row, greenberg=invariants.INCONCLUSIVE)
+    # a row without a field carries no verdict and passes every gate
+    null = invariants.null_record(3, 2, 1, "factorization incomplete")
+    assert (null.greenberg, null.an_prediction, null.D) == (invariants.INCONCLUSIVE, None, None)
 
 
 def test_build_report_strict_precision():
     f = fam(3, 2)
     with pytest.raises(PrecisionExhausted):
         invariants.field_context(f, cap=1, strict=True)
-    report, notes = invariants.build_report(invariants.field_context(f, cap=1, strict=False))
+    report = invariants.build_report(invariants.field_context(f, cap=1, strict=False))
     assert report.n2 is None
-    assert "precision exhausted" in notes
+    assert "precision exhausted" in report.notes
 
 
 def test_build_report_ceiling_note():
     f = fam(3, 2)
-    report, notes = invariants.build_report(invariants.field_context(f, classno_ceiling=10))
+    report = invariants.build_report(invariants.field_context(f, classno_ceiling=10))
     assert report.class_number is None
     assert report.h_val_p is None
-    assert "class number ceiling" in notes
+    assert "class number ceiling" in report.notes
     # the verdict never leans on the uncomputed value
-    assert report.p_rational_verdict == invariants.NON_P_RATIONAL
-    assert report.greenberg_verdict == invariants.INCONCLUSIVE
+    assert report.p_rational == invariants.NON_P_RATIONAL
+    assert report.greenberg == invariants.INCONCLUSIVE
 
 
 class _Refused:
@@ -309,18 +301,18 @@ def test_build_report_gates_on_the_context():
     assert ctx.unit_congruence and ctx.gen_order == 1 and ctx.m_bound_ok
     with pytest.raises(DefectError):
         invariants.build_report(replace(ctx, unit_congruence=False))
-    report, _ = invariants.build_report(replace(ctx, unit_congruence=False, m_bound_ok=False))
-    assert report.p_rational_verdict == invariants.INCONCLUSIVE
+    report = invariants.build_report(replace(ctx, unit_congruence=False, m_bound_ok=False))
+    assert report.p_rational == invariants.INCONCLUSIVE
 
     for gen_order, n1 in [(2, invariants.N1_REFUTED), (None, invariants.N1_UNKNOWN)]:
-        report, notes = invariants.build_report(replace(ctx, gen_order=gen_order))
-        assert (report.n1_is_one, report.greenberg_verdict) == (n1, invariants.INCONCLUSIVE)
+        report = invariants.build_report(replace(ctx, gen_order=gen_order))
+        assert (report.n1_is_one, report.greenberg) == (n1, invariants.INCONCLUSIVE)
         assert report.an_prediction is None
-        assert notes == [f"greenberg inconclusive: n1 certificate {n1}"]
+        assert report.notes == (f"greenberg inconclusive: n1 certificate {n1}",)
 
-    report, _ = invariants.build_report(replace(ctx, class_number=12))
-    assert (report.h_val_p, report.greenberg_reason) == (1, "p divides class number")
-    assert report.greenberg_verdict == invariants.INCONCLUSIVE
+    report = invariants.build_report(replace(ctx, class_number=12))
+    assert (report.h_val_p, inconclusive_reason(report)) == (1, "p divides class number")
+    assert report.greenberg == invariants.INCONCLUSIVE
 
 
 def test_generator_order_resolves_wherever_n2_does():

@@ -90,11 +90,11 @@ def test_wrappers_compute_no_class_number(monkeypatch):
     # a known h is set on that context; n2_of goes the first way
     counts = count_calls(monkeypatch, classno._distance_bounds)
     fam = qf.construct_family(3, 2, 1)
-    report, _ = invariants.build_report(invariants.field_context(fam, classno_ceiling=0))
-    assert report.p_rational_verdict == invariants.NON_P_RATIONAL
+    report = invariants.build_report(invariants.field_context(fam, classno_ceiling=0))
+    assert report.p_rational == invariants.NON_P_RATIONAL
     ctx = invariants.field_context(fam, classno_ceiling=0, strict=True)
-    report, _ = invariants.build_report(replace(ctx, class_number=4, h_missing=None))
-    assert (report.greenberg_verdict, report.an_prediction) == (invariants.MU_LAMBDA_ZERO, 3)
+    report = invariants.build_report(replace(ctx, class_number=4, h_missing=None))
+    assert (report.greenberg, report.an_prediction) == (invariants.MU_LAMBDA_ZERO, 3)
     assert invariants.n2_of(fam) == 2
     assert invariants.n1_certificate(fam, 4) == invariants.N1_CERTIFIED
     assert counts["_distance_bounds"] == 0
@@ -108,8 +108,8 @@ def test_defect_gate_fires_inside_the_bound_only(monkeypatch):
     monkeypatch.setattr(padic, "power_is_one_mod", never_one)
     with pytest.raises(DefectError):
         invariants.build_report(invariants.field_context(qf.construct_family(3, 2, 1)))
-    report, _ = invariants.build_report(invariants.field_context(qf.construct_family(3, 2, 2)))
-    assert report.p_rational_verdict == invariants.INCONCLUSIVE
+    report = invariants.build_report(invariants.field_context(qf.construct_family(3, 2, 2)))
+    assert report.p_rational == invariants.INCONCLUSIVE
 
 
 # (3, 2, 4) lies outside the coefficient bound, so no verdict gate fires
