@@ -226,8 +226,10 @@ def _parse_p_list(text: str) -> list[int]:
     if not ps:
         raise SystemExit(_usage("--p list is empty"))
     for p in ps:
-        if p < 3 or p % 2 == 0 or not intkit.is_prime(p):
-            raise SystemExit(_usage(f"p must be an odd prime, got {p}"))
+        try:
+            intkit.check_odd_prime(p)
+        except ValueError as exc:
+            raise SystemExit(_usage(str(exc)))
     return sorted(set(ps))
 
 

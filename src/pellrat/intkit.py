@@ -31,10 +31,12 @@ DEFAULT_FACTOR_EFFORT = 10**6
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic strong-pseudoprime test.
+    """Strong-pseudoprime test to the twelve prime bases up to 37.
 
-    Exact for n < 3.317e24, which covers every input this toolkit produces
-    at desk scale; far larger inputs fall back to the same fixed base set.
+    A proof of primality only for n < 3.317e24.  Above that bound it is a
+    strong-probable-prime test, and radicand factors do cross it:
+    ``factor(5**44 + 1)`` lists a 28-digit prime.  Proven primality there
+    is ROADMAP item 6.
 
     >>> is_prime(41)
     True
@@ -64,6 +66,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_odd_prime(p: int) -> None:
+    """Raise ValueError unless p is an odd prime: the family's one rule on p."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+
+
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd n >= 1.
 
@@ -91,7 +99,9 @@ def jacobi(a: int, n: int) -> int:
 def sqrt_mod_prime(a: int, p: int) -> int:
     """A square root of a modulo the odd prime p, by Tonelli-Shanks.
 
-    a must be a square mod p; the root of 0 is 0.
+    a must be a square mod p; the root of 0 is 0.  Where the Tonelli-Shanks
+    loop runs (p = 1 mod 4), a composite p or a non-square a raises
+    ValueError instead of looping.
 
     >>> pow(sqrt_mod_prime(10, 13), 2, 13)
     10
@@ -107,7 +117,9 @@ def sqrt_mod_prime(a: int, p: int) -> int:
         q //= 2
         s += 1
     z = 2
-    while jacobi(z, p) != -1:
+    while (j := jacobi(z, p)) != -1:
+        if j == 0:  # an odd prime meets no such z below itself
+            raise ValueError(f"{p} is not prime")
         z += 1
     m = s
     c = pow(z, q, p)
@@ -119,6 +131,8 @@ def sqrt_mod_prime(a: int, p: int) -> int:
         while t2 != 1:
             t2 = t2 * t2 % p
             i += 1
+            if i == m:  # mod a prime, t's order stays below 2**m
+                raise ValueError(f"no square root of {a} mod {p}")
         b = pow(c, 1 << (m - i - 1), p)
         m = i
         c = b * b % p
@@ -307,19 +321,18 @@ def factor(n: int, effort: int = DEFAULT_FACTOR_EFFORT) -> Factorization:
         raise ValueError("effort must be >= 0")
     counts: dict[int, int] = {}
     rem = n
-    for p in (2, 3, 5):
+    for p in (2, 3):
         if p > effort:
             break
         while rem % p == 0:
             counts[p] = counts.get(p, 0) + 1
             rem //= p
-    q = 7
     fast_bound = min(effort, _FAST_TRIAL_BOUND)
-    while q * q <= rem and q <= fast_bound:
+    q = 3
+    while (q := _trial_scan(rem, q, fast_bound)) is not None:
         while rem % q == 0:
             counts[q] = counts.get(q, 0) + 1
             rem //= q
-        q += 2 if q % 6 == 5 else 4
 
     leftovers: list[int] = []
     stack = [rem] if rem > 1 else []
@@ -353,20 +366,15 @@ def factor(n: int, effort: int = DEFAULT_FACTOR_EFFORT) -> Factorization:
 
 
 def divisors_of(f: Factorization) -> list[int]:
-    """All positive divisors from a complete factorization, sorted."""
-    if not f.complete:
-        raise IncompleteFactorization(f"cannot enumerate divisors of {f.value}")
-    return expand_divisors(f.factors)
+    """All positive divisors from a complete factorization, sorted.
 
-
-def expand_divisors(factors) -> list[int]:
-    """All positive divisors of the product of (prime, exponent) pairs, sorted.
-
-    >>> expand_divisors([(2, 2), (3, 1)])
+    >>> divisors_of(factor(12))
     [1, 2, 3, 4, 6, 12]
     """
+    if not f.complete:
+        raise IncompleteFactorization(f"cannot enumerate divisors of {f.value}")
     divs = [1]
-    for p, e in factors:
+    for p, e in f.factors:
         block = divs
         for _ in range(e):
             block = [d * p for d in block]

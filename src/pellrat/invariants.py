@@ -116,8 +116,7 @@ def coates_ledger(field: QuadraticField, p: int, h: int | None = None,
     class number (v_p(h), or 0 when h is unknown), and the discriminant
     (0, certified by p not dividing it).
     """
-    if p < 3 or p % 2 == 0 or not intkit.is_prime(p):
-        raise ValueError("p must be an odd prime")
+    intkit.check_odd_prime(p)
     if intkit.jacobi(field.d, p) != 1:
         raise ValueError(f"{p} does not split in Q(sqrt({field.d}))")
     if field.disc % p == 0:

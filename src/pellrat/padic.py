@@ -38,8 +38,7 @@ def hensel_sqrt(d: int, p: int, k: int) -> int:
     >>> hensel_sqrt(82, 3, 4)
     1
     """
-    if p < 3 or p % 2 == 0:
-        raise ValueError("p must be an odd prime")
+    intkit.check_odd_prime(p)
     if k < 1:
         raise ValueError("precision k must be >= 1")
     if d % p == 0 or intkit.jacobi(d % p, p) != 1:

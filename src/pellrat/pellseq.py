@@ -85,8 +85,7 @@ def prime_power_search(p: int, n_max: int) -> list[tuple[int, int]]:
     contradicts the uniqueness result for p-power values, so that raises
     DefectError.
     """
-    if p < 3 or not intkit.is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    intkit.check_odd_prime(p)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     hits: list[tuple[int, int]] = []

@@ -310,8 +310,7 @@ def m_bound_satisfied(p: int, r: int, m: int) -> bool:
 
 def check_cell(p: int, r: int, m: int) -> None:
     """Raise ValueError unless p is an odd prime, r >= 2, and m >= 1 is coprime to p."""
-    if p < 3 or p % 2 == 0 or not intkit.is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    intkit.check_odd_prime(p)
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
     if m < 1:

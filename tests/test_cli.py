@@ -55,8 +55,14 @@ def test_field_usage_errors(capsys):
             (["field", "--p", "3", "--r", "1"], "r must be >= 2, got 1"),
             (["field", "--p", "3", "--r", "2", "--m", "6"],
              "m must be coprime to p, got m=6, p=3"),
-            (["field", "--p", "3", "--r", "2", "--m", "0"], "m must be >= 1, got 0")):
-        code, out, err = run(capsys, *argv)
+            (["field", "--p", "3", "--r", "2", "--m", "0"], "m must be >= 1, got 0"),
+            (["scan", "--p", "9", "--r", "2"], "p must be an odd prime, got 9"),
+            (["scan", "--p", "3,4", "--r", "2"], "p must be an odd prime, got 4")):
+        try:
+            code = cli.entrypoint(argv)
+        except SystemExit as exc:  # scan's list parsers exit, as the console script does
+            code = exc.code
+        out, err = capsys.readouterr()
         assert (code, out, err) == (1, "", f"error: {message}\n"), argv
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given
@@ -140,6 +141,25 @@ def test_factor_zero_effort_reports_incomplete():
     assert f5.factors == ((5, 2), (13, 1))
 
 
+def test_factor_small_effort_invariants():
+    # the budget cuts trial division and rho short; what is listed stays proven
+    for effort in (*range(9), 100):
+        for n in range(2, 3_000):
+            f = intkit.factor(n, effort)
+            assert all(intkit.is_prime(p) for p, _ in f.factors), (n, effort)
+            prod = math.prod(p**e for p, e in f.factors)
+            assert f.value == n == prod * f.cofactor, (n, effort)
+            assert f.complete == (f.cofactor == 1), (n, effort)
+
+
+def test_factor_trial_fallback_after_a_rho_miss(monkeypatch):
+    # 10007 lies past the fast scan's 10**4, so only the resumed scan finds it
+    monkeypatch.setattr(intkit, "_brent_rho", lambda n, budget: None)
+    f = intkit.factor(3 * 10007 * 10009, 20_000)
+    assert f.complete
+    assert f.factors == ((3, 1), (10007, 1), (10009, 1))
+
+
 def test_factorization_cofactor_and_format():
     f = intkit.factor(59050)
     assert f.factors == ((2, 1), (5, 2), (1181, 1))
@@ -169,10 +189,11 @@ def test_divisors_of_small():
 
 
 @given(st.integers(min_value=1, max_value=10**6))
-def test_expand_divisors_matches_trial_division(n):
+def test_divisors_of_matches_trial_division(n):
     divs = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     want = sorted(set(divs) | {n // d for d in divs})
-    assert intkit.expand_divisors(sorted(trial_factor(n).items())) == want
+    f = intkit.Factorization(n, tuple(sorted(trial_factor(n).items())), True)
+    assert intkit.divisors_of(f) == want
 
 
 def test_primes_up_to_matches_sieve():
@@ -186,6 +207,16 @@ def test_sqrt_mod_prime_finds_every_root():
         for a in range(p):
             if a == 0 or pow(a, (p - 1) // 2, p) == 1:
                 assert pow(intkit.sqrt_mod_prime(a + 5 * p, p), 2, p) == a, (a, p)
+
+
+def test_sqrt_mod_prime_refuses_a_composite_modulus():
+    # 9, 25 and 121 have no z of symbol -1 to find; 21 has one (z = 2), and
+    # there the Tonelli-Shanks walk meets t = 4**5 of order 3, no power of 2
+    for a, n in ((1, 9), (1, 25), (4, 121), (4, 21)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            intkit.sqrt_mod_prime(a, n)
+        assert time.perf_counter() - start < 0.5, n
 
 
 def test_wieferich_catalog():

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from oracles import slow_pell
 
-from pellrat import classno, cli, invariants, padic
+from pellrat import classno, cli, invariants, padic, pellseq
 from pellrat import quadfield as qf
 from pellrat.errors import DefectError
 
@@ -127,6 +127,18 @@ def test_n2_is_checked_against_the_quotient_ring_route(monkeypatch):
     monkeypatch.setattr(padic, "unit_congruence_order", lambda *args: 1)
     with pytest.raises(DefectError, match="is True but n2 = 1 at"):
         invariants.field_context(qf.construct_family(3, 2, 4))
+
+
+@pytest.mark.parametrize("p", [1, 2, 9, 15])
+def test_every_layer_keeps_the_one_rule_on_p(p):
+    # 9 and 15 pass a parity test; only the primality test turns them away
+    calls = (lambda: qf.check_cell(p, 2, 1),
+             lambda: invariants.coates_ledger(qf.QuadraticField(82), p),
+             lambda: padic.hensel_sqrt(82, p, 4),
+             lambda: pellseq.prime_power_search(p, 10))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"got {p}$"):
+            call()
 
 
 @pytest.mark.parametrize("argv, golden", [
