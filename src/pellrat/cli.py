@@ -7,6 +7,9 @@ run metadata lives on a single '#' comment line (CSV only).
 Exit codes: 0 success, 1 usage or validation, 2 factorization incomplete
 in single-cell mode, 3 precision exhausted in single-cell mode, 4 output
 I/O failure.  Scans exit 0 on per-row failures; the rows carry notes.
+Each refusal raises `CommandError` where it is found, and only `entrypoint`
+turns a failure into its code and an `error: <message>` line on stderr;
+any other exception, `DefectError` above all, is a crash.
 """
 
 from __future__ import annotations
@@ -35,6 +38,18 @@ EXIT_USAGE = 1
 EXIT_FACTOR = 2
 EXIT_PRECISION = 3
 EXIT_IO = 4
+
+
+class CommandError(Exception):
+    """A refused command: `entrypoint` prints `error: <message>` and returns ``code``."""
+
+    def __init__(self, message: str, code: int = EXIT_USAGE):
+        super().__init__(message)
+        self.code = code
+
+
+# the library failures that are exit codes; only `field` lets them through
+_EXIT_CODES = {IncompleteFactorization: EXIT_FACTOR, PrecisionExhausted: EXIT_PRECISION}
 
 
 @dataclass(frozen=True)
@@ -193,17 +208,15 @@ def render_human(rec: ScanRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_output(text: str, out: str | None) -> int:
+def _write_output(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
-        return EXIT_OK
+        return
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+        raise CommandError(f"cannot write {out}: {exc}", EXIT_IO)
 
 
 # ---------------------------------------------------------------------------
@@ -214,22 +227,26 @@ class _Parser(argparse.ArgumentParser):
     # spec'd contract reserves exit 1 for usage errors; argparse's default is 2
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise CommandError(message)
+
+
+def _checked(fn, *args):
+    """``fn(*args)``, a library call whose ValueError is a usage error."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise CommandError(str(exc))
 
 
 def _parse_p_list(text: str) -> list[int]:
     try:
         ps = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
-        raise SystemExit(_usage(f"bad --p list: {text!r}"))
+        raise CommandError(f"bad --p list: {text!r}")
     if not ps:
-        raise SystemExit(_usage("--p list is empty"))
+        raise CommandError("--p list is empty")
     for p in ps:
-        try:
-            intkit.check_odd_prime(p)
-        except ValueError as exc:
-            raise SystemExit(_usage(str(exc)))
+        _checked(intkit.check_odd_prime, p)
     return sorted(set(ps))
 
 
@@ -239,20 +256,15 @@ def _parse_r_range(text: str) -> list[int]:
         try:
             lo, hi = int(lo_s), int(hi_s)
         except ValueError:
-            raise SystemExit(_usage(f"bad --r range: {text!r}"))
+            raise CommandError(f"bad --r range: {text!r}")
     else:
         try:
             lo = hi = int(text)
         except ValueError:
-            raise SystemExit(_usage(f"bad --r value: {text!r}"))
+            raise CommandError(f"bad --r value: {text!r}")
     if lo < 2 or hi < lo:
-        raise SystemExit(_usage(f"--r range must satisfy 2 <= a <= b, got {text!r}"))
+        raise CommandError(f"--r range must satisfy 2 <= a <= b, got {text!r}")
     return list(range(lo, hi + 1))
-
-
-def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
 
 
 # `scan --m bound` refuses a cell whose floor(m_bound) is above this: that
@@ -318,41 +330,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _options_from(args) -> PipelineOptions:
     if args.factor_effort < 0:
-        raise SystemExit(_usage("--factor-effort must be >= 0"))
+        raise CommandError("--factor-effort must be >= 0")
     if args.precision_cap < 1:
-        raise SystemExit(_usage("--precision-cap must be >= 1"))
+        raise CommandError("--precision-cap must be >= 1")
     if args.classno_ceiling < 1:
-        raise SystemExit(_usage("--classno-ceiling must be >= 1"))
+        raise CommandError("--classno-ceiling must be >= 1")
     return PipelineOptions(factor_effort=args.factor_effort,
                            precision_cap=args.precision_cap,
                            classno_ceiling=args.classno_ceiling)
 
 
-def cmd_field(args) -> int:
-    try:
-        check_cell(args.p, args.r, args.m)
-    except ValueError as exc:
-        return _usage(str(exc))
+def cmd_field(args):
+    _checked(check_cell, args.p, args.r, args.m)
     opts = _options_from(args)
-    cache = FactorCache(args.cache)
-    try:
-        rec = compute_record(args.p, args.r, args.m, opts, cache, strict=True)
-    except IncompleteFactorization as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FACTOR
-    except PrecisionExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
+    rec = compute_record(args.p, args.r, args.m, opts, FactorCache(args.cache), strict=True)
     if args.format == "json":
         text = json.dumps(record_to_json_obj(rec), indent=2) + "\n"
     elif args.format == "csv":
         text = render_csv([rec])
     else:
         text = render_human(rec)
-    return _write_output(text, args.out)
+    _write_output(text, args.out)
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args):
     ps = _parse_p_list(args.p)
     rs = _parse_r_range(args.r)
     policy = m_arg = args.m
@@ -360,18 +361,18 @@ def cmd_scan(args) -> int:
         try:
             m_arg = int(policy)
         except ValueError:
-            return _usage(f"--m must be 'one', 'bound', or an integer, got {policy!r}")
+            raise CommandError(f"--m must be 'one', 'bound', or an integer, got {policy!r}")
         if m_arg < 1:
-            return _usage(f"--m must be >= 1, got {m_arg}")
+            raise CommandError(f"--m must be >= 1, got {m_arg}")
         if all(m_arg % p == 0 for p in ps):  # no cell would be left to scan
-            return _usage(f"m must be coprime to p, got m={m_arg}, "
-                          f"p={','.join(map(str, ps))}")
+            raise CommandError(f"m must be coprime to p, got m={m_arg}, "
+                               f"p={','.join(map(str, ps))}")
     if policy == "bound":
         for p in ps:
             for r in rs:
                 if m_bound_satisfied(p, r, M_BOUND_MAX + 1):
-                    return _usage(f"--m bound: floor(m_bound({p}, {r})) exceeds "
-                                  f"{M_BOUND_MAX}; use --m N for a single m")
+                    raise CommandError(f"--m bound: floor(m_bound({p}, {r})) exceeds "
+                                       f"{M_BOUND_MAX}; use --m N for a single m")
     opts = _options_from(args)
     cache = FactorCache(args.cache)
 
@@ -393,9 +394,7 @@ def cmd_scan(args) -> int:
         text = render_json(records)
     else:
         text = render_csv(records, f"pellrat scan p={args.p} r={args.r} m={policy}")
-    code = _write_output(text, args.out)
-    if code != EXIT_OK:
-        return code
+    _write_output(text, args.out)
 
     # each verdict column is counted on its own, as every row has both
     parts = []
@@ -405,40 +404,38 @@ def cmd_scan(args) -> int:
     failed = sum(1 for rec in records if rec.D is None)
     print(f"scanned {len(records)} cells: {'; '.join(parts)}; row-failures={failed}",
           file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_gseq(args) -> int:
+def cmd_gseq(args):
     if args.gseq_command == "pair":
         pair = pellseq.pell_pair(args.n)
         print(f"G={pair.g} F={pair.f}")
-        return EXIT_OK
-    # the library validates its arguments; its ValueError is a usage error
-    try:
-        if args.gseq_command == "gcd":
-            print(pellseq.g_gcd(args.l, args.m))
-            return EXIT_OK
+    elif args.gseq_command == "gcd":
+        print(_checked(pellseq.g_gcd, args.l, args.m))
+    else:
         if args.n_max < 1:  # the search itself accepts 0
-            return _usage(f"--max must be >= 1, got {args.n_max}")
-        hits = pellseq.prime_power_search(args.p, args.n_max)
-    except ValueError as exc:
-        return _usage(str(exc))
-    print("\n".join(f"HIT: G_{n} = {args.p}^{e}" for n, e in hits) or "no solutions")
-    return EXIT_OK
+            raise CommandError(f"--max must be >= 1, got {args.n_max}")
+        hits = _checked(pellseq.prime_power_search, args.p, args.n_max)
+        print("\n".join(f"HIT: G_{n} = {args.p}^{e}" for n, e in hits) or "no solutions")
 
 
 def entrypoint(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # G_n and deep rows outgrow the 4300-digit int-to-str limit of Python 3.11+
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
+    """Run one command and return its exit code; `--help` exits through argparse."""
     try:
-        return {"field": cmd_field, "scan": cmd_scan, "gseq": cmd_gseq}[args.command](args)
-    finally:
+        args = build_parser().parse_args(argv)
+        # G_n and deep rows outgrow the 4300-digit int-to-str limit of Python 3.11+
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
         if limit is not None:
-            sys.set_int_max_str_digits(limit)
+            sys.set_int_max_str_digits(0)
+        try:
+            {"field": cmd_field, "scan": cmd_scan, "gseq": cmd_gseq}[args.command](args)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+    except (CommandError, *_EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code if isinstance(exc, CommandError) else _EXIT_CODES[type(exc)]
+    return EXIT_OK
 
 
 if __name__ == "__main__":

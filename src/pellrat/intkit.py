@@ -99,9 +99,9 @@ def jacobi(a: int, n: int) -> int:
 def sqrt_mod_prime(a: int, p: int) -> int:
     """A square root of a modulo the odd prime p, by Tonelli-Shanks.
 
-    a must be a square mod p; the root of 0 is 0.  Where the Tonelli-Shanks
-    loop runs (p = 1 mod 4), a composite p or a non-square a raises
-    ValueError instead of looping.
+    a must be a square mod p; the root of 0 is 0.  A composite p or a
+    non-square a raises ValueError: the p = 3 mod 4 shortcut checks its
+    root, and the Tonelli-Shanks loop (p = 1 mod 4) stops instead of looping.
 
     >>> pow(sqrt_mod_prime(10, 13), 2, 13)
     10
@@ -110,7 +110,10 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     if a == 0:
         return 0
     if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
+        root = pow(a, (p + 1) // 4, p)
+        if root * root % p != a:
+            raise ValueError(f"no square root of {a} mod {p}")
+        return root
     q = p - 1
     s = 0
     while q % 2 == 0:

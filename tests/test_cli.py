@@ -48,22 +48,71 @@ def test_field_outside_bound_still_reports(capsys):
     assert "m_bound_ok = false" in out
 
 
-def test_field_usage_errors(capsys):
-    for argv, message in (
-            (["field", "--p", "2", "--r", "2"], "p must be an odd prime, got 2"),
-            (["field", "--p", "9", "--r", "2"], "p must be an odd prime, got 9"),
-            (["field", "--p", "3", "--r", "1"], "r must be >= 2, got 1"),
-            (["field", "--p", "3", "--r", "2", "--m", "6"],
-             "m must be coprime to p, got m=6, p=3"),
-            (["field", "--p", "3", "--r", "2", "--m", "0"], "m must be >= 1, got 0"),
-            (["scan", "--p", "9", "--r", "2"], "p must be an odd prime, got 9"),
-            (["scan", "--p", "3,4", "--r", "2"], "p must be an odd prime, got 4")):
-        try:
-            code = cli.entrypoint(argv)
-        except SystemExit as exc:  # scan's list parsers exit, as the console script does
-            code = exc.code
-        out, err = capsys.readouterr()
-        assert (code, out, err) == (1, "", f"error: {message}\n"), argv
+# argparse wraps the usage line to the terminal width; the table sets COLUMNS=80
+FIELD_USAGE = """\
+usage: pellrat field [-h] --p P --r R [--m M] [--factor-effort FACTOR_EFFORT]
+                     [--precision-cap PRECISION_CAP]
+                     [--classno-ceiling CLASSNO_CEILING] [--cache CACHE]
+                     [--format {csv,json}] [--out OUT]
+"""
+SCAN_USAGE = """\
+usage: pellrat scan [-h] --p P --r R [--m M] [--factor-effort FACTOR_EFFORT]
+                    [--precision-cap PRECISION_CAP]
+                    [--classno-ceiling CLASSNO_CEILING] [--cache CACHE]
+                    [--format {csv,json}] [--out OUT]
+"""
+FIELD = ("field", "--p", "3", "--r", "2")
+SCAN = ("scan", "--p", "3", "--r", "2")
+
+# every refused command: (argv, exit code, exact stderr); stdout stays empty
+REFUSALS = (
+    (("field", "--p", "3"), 1,
+     FIELD_USAGE + "error: the following arguments are required: --r\n"),
+    ((*SCAN, "--format", "yaml"), 1, SCAN_USAGE + "error: argument --format: invalid "
+     "choice: 'yaml' (choose from 'csv', 'json')\n"),
+    (("field", "--p", "2", "--r", "2"), 1, "error: p must be an odd prime, got 2\n"),
+    (("field", "--p", "9", "--r", "2"), 1, "error: p must be an odd prime, got 9\n"),
+    (("field", "--p", "3", "--r", "1"), 1, "error: r must be >= 2, got 1\n"),
+    ((*FIELD, "--m", "6"), 1, "error: m must be coprime to p, got m=6, p=3\n"),
+    ((*FIELD, "--m", "0"), 1, "error: m must be >= 1, got 0\n"),
+    (("scan", "--p", "", "--r", "2"), 1, "error: --p list is empty\n"),
+    (("scan", "--p", "a", "--r", "2"), 1, "error: bad --p list: 'a'\n"),
+    (("scan", "--p", "9", "--r", "2"), 1, "error: p must be an odd prime, got 9\n"),
+    (("scan", "--p", "3,4", "--r", "2"), 1, "error: p must be an odd prime, got 4\n"),
+    (("scan", "--p", "3", "--r", "1"), 1,
+     "error: --r range must satisfy 2 <= a <= b, got '1'\n"),
+    (("scan", "--p", "3", "--r", "3..2"), 1,
+     "error: --r range must satisfy 2 <= a <= b, got '3..2'\n"),
+    (("scan", "--p", "3", "--r", "x"), 1, "error: bad --r value: 'x'\n"),
+    ((*SCAN, "--m", "0"), 1, "error: --m must be >= 1, got 0\n"),
+    ((*SCAN, "--m", "x"), 1,
+     "error: --m must be 'one', 'bound', or an integer, got 'x'\n"),
+    ((*SCAN, "--m", "3"), 1, "error: m must be coprime to p, got m=3, p=3\n"),
+    *(((*cmd, flag, str(least - 1)), 1, f"error: {flag} must be >= {least}\n")
+      for cmd in (FIELD, SCAN)
+      for flag, least in (("--factor-effort", 0), ("--precision-cap", 1),
+                          ("--classno-ceiling", 1))),
+    (("gseq", "search", "--p", "3", "--max", "0"), 1, "error: --max must be >= 1, got 0\n"),
+    (("gseq", "search", "--p", "9", "--max", "10"), 1,
+     "error: p must be an odd prime, got 9\n"),
+    (("gseq", "gcd", "0", "1"), 1, "error: gcd arguments must be >= 1\n"),
+    ((*FIELD, "--m", "2", "--factor-effort", "0"), 2,
+     "error: factorization of 325 incomplete within budget\n"),
+    ((*FIELD, "--precision-cap", "1"), 3,
+     "error: congruence order at 3 unresolved at precision 1\n"),
+    # no summary line: the scan stops at the write
+    ((*SCAN, "--out", "/nonexistent-dir/x.csv"), 4, "error: cannot write "
+     "/nonexistent-dir/x.csv: [Errno 2] No such file or directory: '/nonexistent-dir/x.csv'\n"),
+)
+
+
+def test_field_usage_errors(capsys, monkeypatch):
+    # entrypoint returns the code of every refusal; none escapes as an exception
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, code, err in REFUSALS:
+        got = cli.entrypoint(list(argv))
+        out, got_err = capsys.readouterr()
+        assert (got, out, got_err) == (code, "", err), argv
 
 
 @pytest.mark.parametrize("p, r, m", [(3, 2, 1), (3, 2, 5), (1093, 2, 1)])
@@ -78,12 +127,16 @@ def test_field_json_is_the_scan_row(capsys, p, r, m):
 
 
 def test_argparse_errors_use_exit_code_one(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.entrypoint(["field", "--p", "3"])  # missing --r
-    assert exc.value.code == 1
-    with pytest.raises(SystemExit) as exc:
-        cli.entrypoint(["scan", "--p", "3", "--r", "2", "--format", "yaml"])
-    assert exc.value.code == 1
+    # argparse's default is 2; its usage line comes before the error line
+    code, out, err = run(capsys, "field", "--p", "3")  # missing --r
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: pellrat field ")
+    assert err.endswith("\nerror: the following arguments are required: --r\n")
+    code, out, err = run(capsys, "scan", "--p", "3", "--r", "2", "--format", "yaml")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: pellrat scan ")
+    assert err.endswith("\nerror: argument --format: invalid choice: 'yaml' "
+                        "(choose from 'csv', 'json')\n")
 
 
 def test_field_factor_exit_code(capsys):

@@ -211,8 +211,10 @@ def test_sqrt_mod_prime_finds_every_root():
 
 def test_sqrt_mod_prime_refuses_a_composite_modulus():
     # 9, 25 and 121 have no z of symbol -1 to find; 21 has one (z = 2), and
-    # there the Tonelli-Shanks walk meets t = 4**5 of order 3, no power of 2
-    for a, n in ((1, 9), (1, 25), (4, 121), (4, 21)):
+    # there the Tonelli-Shanks walk meets t = 4**5 of order 3, no power of 2;
+    # the n = 3 mod 4 shortcut's root of 2 mod 15 (and of the non-square 3
+    # mod 7) does not square back
+    for a, n in ((1, 9), (1, 25), (4, 121), (4, 21), (2, 15), (3, 7)):
         start = time.perf_counter()
         with pytest.raises(ValueError):
             intkit.sqrt_mod_prime(a, n)
