@@ -3,11 +3,11 @@
 A form is a plain ``(a, b, c)`` tuple of ints with positive nonsquare
 discriminant D = b**2 - 4ac.  It is reduced when
 |sqrt(D) - 2|a|| < b < sqrt(D); all comparisons run on integers against
-isqrt(D), never on floats.  The reduced forms of one discriminant are
-enumerated by their leading coefficient a, 1 <= |a| <= isqrt(D): the b with
-a | (D - b**2)/4 are the roots of a quadratic mod a, combined by the Chinese
-remainder theorem from its roots mod each prime power, so nothing is
-factored and no divisor is tried that lies outside the reduction window.
+s = isqrt(D), never on floats.  Forms are enumerated by their leading
+coefficient a up to a bound: the b with a | (D - b**2)/4 are the roots of a
+quadratic mod a, combined by the Chinese remainder theorem from its roots
+mod each prime power, so nothing is factored.  The reduced forms take every
+a <= s and keep the b inside a's reduction window.
 
 The narrow class number h+ is the number of rho-cycles of reduced forms,
 but no cycle is walked.  Each cycle goes once round the infrastructure, so
@@ -17,11 +17,16 @@ quadratic field", 1972; Lenstra, "On the calculation of regulators and
 class numbers of quadratic fields", 1982).  Summed over every reduced form,
 the distances give h+ * log eps+.  The forms with one b pair up, and the
 distances of a pair add up to log((sqrt(D) + b)/(sqrt(D) - b)), so the sum
-needs only the number of forms at each b.  It is carried as one product with
-integer lower and upper bounds, b by b, and compared with integer bounds on
-eps+ through a fixed-point log2; h+ is accepted only when the quotient's
-interval holds exactly one integer.  The wide class number follows from the
-norm of the fundamental unit.
+needs only the number n_b of forms (a, b, c) with a > 0 at each b.  Their
+a are the window divisors of m_b = (D - b**2)/4, which pair up as
+d <-> m_b/d, and the smaller of a pair is below sqrt(m_b) < sqrt(D)/2.  So
+the count walks only a <= s // 2, where every root lies in the window: a
+with a**2 < m_b adds 2 to n_b, a with a**2 = m_b adds 1, and a larger a
+adds nothing, as its partner below was counted.  The sum is carried as one
+product with integer lower and upper bounds, b by b, and compared with
+integer bounds on eps+ through a fixed-point log2; h+ is accepted only when
+the quotient's interval holds exactly one integer.  The wide class number
+follows from the norm of the fundamental unit.
 """
 
 from __future__ import annotations
@@ -78,8 +83,8 @@ def _prime_roots(disc: int, top: int, q: int) -> list[int]:
     return [k1] if k1 == k2 else [k1, k2]
 
 
-def _tower(disc: int, s: int, top: int, q: int) -> list[tuple[int, list[int]]]:
-    """(q**e, roots of g mod q**e) for e = 1, 2, ... while q**e <= s and
+def _tower(disc: int, a_max: int, top: int, q: int) -> list[tuple[int, list[int]]]:
+    """(q**e, roots of g mod q**e) for e = 1, 2, ... while q**e <= a_max and
     roots are left.
 
     Every root mod q**e reduces to one mod q**(e-1), so testing
@@ -93,7 +98,7 @@ def _tower(disc: int, s: int, top: int, q: int) -> list[tuple[int, list[int]]]:
     if q > 2:
         qe, roots = q, _prime_roots(disc, top, q)
         tower.append((qe, roots))
-    while roots and qe * q <= s:
+    while roots and qe * q <= a_max:
         step, qe = qe, qe * q
         roots = [x for r in roots for x in range(r, qe, step)
                  if (c + (top - x) * x) % qe == 0]
@@ -108,35 +113,25 @@ def _crt(a: int, roots: list[int], q: int, qroots: list[int]) -> list[int]:
     return [r + a * ((t - r) * inv % q) for r in roots for t in qroots]
 
 
-def _in_window(a: int, ks: list[int], s: int, top: int) -> list[int]:
-    """The roots k mod a whose b = top - 2k lies in a's window."""
-    if 2 * a <= s:  # the window holds the a values k = 0..a-1
-        return ks
-    cap = (top + s - 2 * a) >> 1  # b = top - 2k >= 2a - s
-    return [k for k in ks if k <= cap]
+def _window_roots(disc: int, a_max: int, top: int) -> Iterator[tuple[int, list[int]]]:
+    """(a, ks) for each a in 1..a_max that divides some m_b = (disc - b**2)/4
+    with b = top - 2k and 0 <= k < a, where ks lists those k: the roots mod a
+    of g(k) = m_b.
 
+    With s = isqrt(disc), a's reduction window s - b < 2a <= s + b (see
+    `reduced_forms`) holds no k >= a, and it holds every k < a when
+    2a <= s.
 
-def _window_roots(disc: int, s: int, top: int) -> Iterator[tuple[int, list[int]]]:
-    """(a, ks) for each a in 1..s that divides some m_b = (disc - b**2)/4,
-    where ks lists each k >= 0 for which a divides m_b at b = top - 2k,
-    with b in the reduction window s - b < 2a <= s + b.
-
-    For each admissible b the product -a*c of a reduced form is m_b, so
-    (a, b, -m_b/a) and (-a, b, m_b/a) are the reduced forms of leading
-    coefficient +-a.  As sqrt(disc) is irrational, |sqrt(disc) - 2|a|| < b
-    reads s - b < 2|a| <= s + b with s = isqrt(disc), and so |a| <= s.
-
-    a divides m_b exactly when k is a root of g(k) = m_b mod a, and the
-    roots mod a are the CRT combinations of the roots mod its prime powers.
-    The a made of primes up to isqrt(s) come from a depth-first walk over
-    products of their towers' powers.  Every other a is one of those times
-    a single larger prime q, and is formed last, q by q, so the roots of
-    each such q are found once and held only while it is used.
+    The roots mod a are the CRT combinations of the roots mod its prime
+    powers.  The a made of primes up to isqrt(a_max) come from a depth-first
+    walk over products of their towers' powers.  Every other a is one of
+    those times a single larger prime q, and is formed last, q by q, so the
+    roots of each such q are found once and held only while it is used.
     """
-    primes = intkit.primes_up_to(s)
-    small = bisect_right(primes, max(2, math.isqrt(s)))  # 2 takes a tower
-    towers = [(q, _tower(disc, s, top, q)) for q in primes[:small]]
-    low_max = s // primes[small] if small < len(primes) else 0
+    primes = intkit.primes_up_to(a_max)
+    small = bisect_right(primes, max(2, math.isqrt(a_max)))  # 2 takes a tower
+    towers = [(q, _tower(disc, a_max, top, q)) for q in primes[:small]]
+    low_max = a_max // primes[small] if small < len(primes) else 0
     low = []  # (a, roots) for the a that a larger prime may extend
     yield 1, [0]
     stack = [(1, [0], 0)]
@@ -146,15 +141,15 @@ def _window_roots(disc: int, s: int, top: int) -> Iterator[tuple[int, list[int]]
             low.append((a, roots))
         for i in range(start, len(towers)):
             q, tower = towers[i]
-            if a * q > s:
+            if a * q > a_max:
                 break
             for qe, qroots in tower:
                 aq = a * qe
-                if aq > s:
+                if aq > a_max:
                     break
                 ks = _crt(a, roots, qe, qroots)
                 stack.append((aq, ks, i + 1))
-                yield aq, _in_window(aq, ks, s, top)
+                yield aq, ks
     low.sort()
     for q in primes[small:]:
         qroots = _prime_roots(disc, top, q)
@@ -162,13 +157,18 @@ def _window_roots(disc: int, s: int, top: int) -> Iterator[tuple[int, list[int]]
             continue
         for a, roots in low:
             aq = a * q
-            if aq > s:
+            if aq > a_max:
                 break
-            yield aq, _in_window(aq, _crt(a, roots, q, qroots), s, top)
+            yield aq, _crt(a, roots, q, qroots)
 
 
 def reduced_forms(disc: int) -> list[Form]:
     """All reduced forms of the given discriminant, sorted.
+
+    For each admissible b the product -a*c of a reduced form is m_b, so
+    (a, b, -m_b/a) and (-a, b, m_b/a) are the reduced forms of leading
+    coefficient +-a.  As sqrt(disc) is irrational, |sqrt(disc) - 2|a|| < b
+    reads s - b < 2|a| <= s + b with s = isqrt(disc), and so |a| <= s.
 
     >>> reduced_forms(8)
     [(-1, 2, 1), (1, 2, -1)]
@@ -179,11 +179,39 @@ def reduced_forms(disc: int) -> list[Form]:
     for a, ks in _window_roots(disc, s, top):
         for k in ks:
             b = top - 2 * k
+            if 2 * a > s + b:  # outside the window
+                continue
             c = ((disc - b * b) >> 2) // a
             forms.append((a, b, -c))
             forms.append((-a, b, c))
     forms.sort()
     return forms
+
+
+def _divisor_counts(disc: int, s: int, top: int) -> list[int]:
+    """n_b, the number of window divisors d of m_b = (disc - b**2)/4, at
+    b = top - 2k for k = 0, 1, ...
+
+    The window is closed under d -> m_b/d, and the smaller of a pair is below
+    sqrt(m_b) < sqrt(disc)/2, so n_b = 2 * #{window d : d**2 < m_b} plus 1
+    when m_b = d**2 for a window d.  Every such d has 2d <= s, where each
+    root k < d lies in the window, so only a <= s // 2 are walked.  With
+    t = isqrt(disc - 4a**2 - 1), a**2 < m_b reads b <= t, that is
+    k >= k_min = ceil((top - t)/2); the one b with a**2 = m_b is t + 1, at
+    k_min - 1, when (t + 1)**2 = disc - 4a**2.
+    """
+    counts = [0] * ((top + 1) >> 1)
+    for a, ks in _window_roots(disc, s >> 1, top):
+        rest = disc - 4 * a * a  # m_b - a**2 = (rest - b**2)/4
+        t = math.isqrt(rest - 1)
+        k_min = (top - t + 1) >> 1
+        k_square = k_min - 1 if (t + 1) * (t + 1) == rest else -1
+        for k in ks:
+            if k >= k_min:
+                counts[k] += 2
+            elif k == k_square:
+                counts[k] += 1
+    return counts
 
 
 def _log2_bound(x: int, up: bool) -> int:
@@ -226,7 +254,8 @@ def _distance_bounds(disc: int, s: int) -> tuple[int, int]:
     The window s - b < 2d <= s + b is closed under d -> m_b/d, so the
     2 * n_b forms (+-d, b, -+m_b/d) at one b pair up, and the distances of
     a pair add up to log2((sqrt(disc) + b)/(sqrt(disc) - b)); the sum is
-    n_b times that, summed over b.  It is kept as log2 of one product
+    n_b times that, summed over b, with n_b from `_divisor_counts`, which
+    walks only a <= s // 2.  It is kept as log2 of one product
     [lo, hi] * 2**e, started at 2**(2 * _BITS) with e = -2 * _BITS.  With
     root = isqrt(disc * 4**_BITS) and z = b * 2**_BITS, the numerator
     (sqrt(disc) + b) * 2**_BITS lies in [root + z, root + z + 1) and the
@@ -237,10 +266,7 @@ def _distance_bounds(disc: int, s: int) -> tuple[int, int]:
     as each factor is above 1.
     """
     top = _top_b(disc, s)
-    counts = [0] * ((top + 1) >> 1)  # n_b at b = top - 2k, for k = 0, 1, ...
-    for _, ks in _window_roots(disc, s, top):
-        for k in ks:
-            counts[k] += 1
+    counts = _divisor_counts(disc, s, top)  # n_b at b = top - 2k
     root = math.isqrt(disc << 2 * _BITS)
     lo = hi = 1 << 2 * _BITS
     e = -2 * _BITS

@@ -65,8 +65,9 @@ class FactorCache:
     Loaded whole at construction; appends are flushed line by line.  A
     crash can leave only the last line unterminated: loading drops that
     tail and truncates the file to its last newline.  Only complete
-    factorizations are stored.  Invalid complete lines fail loudly: a
-    cache that lies is worse than no cache.
+    factorizations are stored.  Invalid complete lines fail loudly, as a
+    usage error: a cache that lies is worse than no cache.  A cache that
+    cannot be appended to is an output I/O failure.
     """
 
     def __init__(self, path: str | None):
@@ -82,24 +83,29 @@ class FactorCache:
         end = data.rfind(b"\n") + 1
         if end < len(data):
             os.truncate(path, end)
-        for line in data[:end].decode("utf-8").splitlines():
+        try:
+            text = data[:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CommandError(f"cache {path} is not UTF-8 text: {exc}")
+        for line in text.splitlines():
             if line.strip():
                 self._load_line(line)
 
     def _load_line(self, line: str):
         parts = line.split()
-        value = int(parts[0])
-        pairs = []
+        try:
+            value = int(parts[0])
+            tokens = [tok.partition("^") for tok in parts[1:]]
+            pairs = [(int(base), int(exp) if exp else 1) for base, _, exp in tokens]
+        except ValueError:
+            raise CommandError(f"bad line in cache {self.path}: {line!r}")
         prod = 1
-        for tok in parts[1:]:
-            base, _, exp = tok.partition("^")
-            q, e = int(base), int(exp) if exp else 1
+        for q, e in pairs:
             if not intkit.is_prime(q) or e < 1:
-                raise ValueError(f"bad cache entry for {value}: {tok}")
-            pairs.append((q, e))
+                raise CommandError(f"bad cache entry for {value} in {self.path}: {q}^{e}")
             prod *= q**e
         if prod != value:
-            raise ValueError(f"cache line for {value} does not multiply out")
+            raise CommandError(f"cache line for {value} in {self.path} does not multiply out")
         self._table[value] = intkit.Factorization(
             value=value, factors=tuple(pairs), complete=True)
 
@@ -111,8 +117,11 @@ class FactorCache:
             return
         self._table[f.value] = f
         if self.path is not None:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(f.format_line() + "\n")
+            try:
+                with open(self.path, "a", encoding="utf-8") as fh:
+                    fh.write(f.format_line() + "\n")
+            except OSError as exc:
+                raise CommandError(f"cannot write {self.path}: {exc}", EXIT_IO)
 
     def factor(self, n: int, effort: int) -> intkit.Factorization:
         hit = self.get(n)

@@ -180,6 +180,23 @@ def by_b_reduced_forms(disc: int) -> list[tuple[int, int, int]]:
     return forms
 
 
+def full_range_counts(disc: int) -> list[int]:
+    """n_b, the number of reduced forms (a, b, c) with a > 0, at
+    b = top - 2k for k = 0, 1, ..., where top is the largest b <= isqrt(disc)
+    with b = disc mod 2: read off the whole list of `classno.reduced_forms`,
+    which takes every a <= isqrt(disc) inside its reduction window.
+    """
+    from pellrat import classno
+
+    s = math.isqrt(disc)
+    top = s - ((s ^ disc) & 1)
+    counts = [0] * ((top + 1) >> 1)
+    for a, b, _ in classno.reduced_forms(disc):
+        if a > 0:
+            counts[(top - b) >> 1] += 1
+    return counts
+
+
 def rho_reduce(f: tuple[int, int, int]) -> tuple[int, int, int]:
     """One reduction step (a, b, c) -> (c, b', c'), the discriminant taken
     from the form itself.

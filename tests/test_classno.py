@@ -49,12 +49,10 @@ def test_window_divisors_are_closed_under_the_cofactor():
     # the distance sum pairs (a, b, -m/a) with (-m/a, b, a) and so needs
     # only the number of window divisors at each b
     for disc in DISCS + CELL_DISCS:
-        s = classno._valid_disc(disc)
-        top = classno._top_b(disc, s)
         by_b = {}
-        for a, ks in classno._window_roots(disc, s, top):
-            for k in ks:
-                by_b.setdefault(top - 2 * k, []).append(a)
+        for a, b, _ in classno.reduced_forms(disc):
+            if a > 0:
+                by_b.setdefault(b, []).append(a)
         for b, ds in by_b.items():
             m = (disc - b * b) // 4
             assert sorted(m // d for d in ds) == sorted(ds), (disc, b)
@@ -69,6 +67,35 @@ def test_enumeration_by_a_matches_the_by_b_enumeration_below_3000():
     # and 8 | disc reach the lifts to prime powers, the 2-adic ones included
     for disc in VALID_DISCS:
         assert classno.reduced_forms(disc) == by_b_reduced_forms(disc), disc
+
+
+def test_half_walk_counts_match_the_full_enumeration():
+    # a pair d, m_b/d of window divisors counts 2 at its smaller member, and
+    # a window d with d**2 = m_b counts 1; n_b is odd exactly then
+    weight_one = 0
+    for disc in VALID_DISCS + CELL_DISCS:
+        s = classno._valid_disc(disc)
+        counts = classno._divisor_counts(disc, s, classno._top_b(disc, s))
+        assert counts == oracles.full_range_counts(disc), disc
+        weight_one += sum(n % 2 for n in counts)
+    assert weight_one > 0
+
+
+def test_distance_sum_walks_no_a_above_half_the_root(monkeypatch):
+    walk = classno._window_roots
+    seen = []
+
+    def recorded(disc, a_max, top):
+        for a, ks in walk(disc, a_max, top):
+            seen.append(a)
+            yield a, ks
+
+    monkeypatch.setattr(classno, "_window_roots", recorded)
+    for disc in DISCS + CELL_DISCS:
+        seen.clear()
+        s = classno._valid_disc(disc)
+        classno._distance_bounds(disc, s)
+        assert seen and 2 * max(seen) <= s, disc
 
 
 def test_class_number_factors_nothing(monkeypatch):

@@ -63,6 +63,8 @@ usage: pellrat scan [-h] --p P --r R [--m M] [--factor-effort FACTOR_EFFORT]
 """
 FIELD = ("field", "--p", "3", "--r", "2")
 SCAN = ("scan", "--p", "3", "--r", "2")
+# written by the table's test, in a fresh working directory
+BAD_CACHE = "bad-cache.txt"
 
 # every refused command: (argv, exit code, exact stderr); stdout stays empty
 REFUSALS = (
@@ -103,12 +105,19 @@ REFUSALS = (
     # no summary line: the scan stops at the write
     ((*SCAN, "--out", "/nonexistent-dir/x.csv"), 4, "error: cannot write "
      "/nonexistent-dir/x.csv: [Errno 2] No such file or directory: '/nonexistent-dir/x.csv'\n"),
+    # the first factorization the scan stores stops it
+    ((*SCAN, "--cache", "/nonexistent-dir/c.txt"), 4, "error: cannot write "
+     "/nonexistent-dir/c.txt: [Errno 2] No such file or directory: '/nonexistent-dir/c.txt'\n"),
+    ((*FIELD, "--cache", BAD_CACHE), 1,
+     f"error: cache line for 12 in {BAD_CACHE} does not multiply out\n"),
 )
 
 
-def test_field_usage_errors(capsys, monkeypatch):
+def test_field_usage_errors(capsys, monkeypatch, tmp_path):
     # entrypoint returns the code of every refusal; none escapes as an exception
     monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / BAD_CACHE).write_text("12 2^2 5^1\n")
     for argv, code, err in REFUSALS:
         got = cli.entrypoint(list(argv))
         out, got_err = capsys.readouterr()
@@ -345,10 +354,16 @@ def test_factor_cache_round_trip(tmp_path):
 def test_factor_cache_rejects_lies(tmp_path):
     path = tmp_path / "cache.txt"
     path.write_text("12 2^2 5^1\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(cli.CommandError, match="does not multiply out"):
         cli.FactorCache(str(path))
     path.write_text("12 4^1 3^1\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(cli.CommandError, match="bad cache entry for 12"):
+        cli.FactorCache(str(path))
+    path.write_text("12 2^x 3^1\n")
+    with pytest.raises(cli.CommandError, match="bad line in cache"):
+        cli.FactorCache(str(path))
+    path.write_bytes(b"\xff 2^1\n")
+    with pytest.raises(cli.CommandError, match="is not UTF-8 text"):
         cli.FactorCache(str(path))
 
 

@@ -211,5 +211,5 @@ def test_truncated_cache_tail_is_dropped(capsys, tmp_path):
 def test_truncated_cache_still_rejects_complete_bad_lines(tmp_path):
     path = tmp_path / "cache.txt"
     path.write_text("12 2^2 5^1\n82 2")
-    with pytest.raises(ValueError):
+    with pytest.raises(cli.CommandError, match="does not multiply out"):
         cli.FactorCache(str(path))
