@@ -4,10 +4,9 @@ A form is a plain ``(a, b, c)`` tuple of ints with positive nonsquare
 discriminant D = b**2 - 4ac.  It is reduced when
 |sqrt(D) - 2|a|| < b < sqrt(D); all comparisons run on integers against
 s = isqrt(D), never on floats.  Forms are enumerated by their leading
-coefficient a up to a bound: the b with a | (D - b**2)/4 are the roots of a
+coefficient a up to s // 2: the b with a | (D - b**2)/4 are the roots of a
 quadratic mod a, combined by the Chinese remainder theorem from its roots
-mod each prime power, so nothing is factored.  The reduced forms take every
-a <= s and keep the b inside a's reduction window.
+mod each prime power, so nothing is factored.
 
 The narrow class number h+ is the number of rho-cycles of reduced forms,
 but no cycle is walked.  Each cycle goes once round the infrastructure, so
@@ -20,9 +19,10 @@ distances of a pair add up to log((sqrt(D) + b)/(sqrt(D) - b)), so the sum
 needs only the number n_b of forms (a, b, c) with a > 0 at each b.  Their
 a are the window divisors of m_b = (D - b**2)/4, which pair up as
 d <-> m_b/d, and the smaller of a pair is below sqrt(m_b) < sqrt(D)/2.  So
-the count walks only a <= s // 2, where every root lies in the window: a
-with a**2 < m_b adds 2 to n_b, a with a**2 = m_b adds 1, and a larger a
-adds nothing, as its partner below was counted.  The sum is carried as one
+both the forms and the count walk only a <= s // 2, where every root lies
+in the window.  An a with a**2 < m_b yields its form and its partner's, and
+adds 2 to n_b; an a with a**2 = m_b yields one form and adds 1; a larger a
+yields nothing, as its partner below did.  The sum is carried as one
 product with integer lower and upper bounds, b by b, and compared with
 integer bounds on eps+ through a fixed-point log2; h+ is accepted only when
 the quotient's interval holds exactly one integer.  The wide class number
@@ -113,14 +113,10 @@ def _crt(a: int, roots: list[int], q: int, qroots: list[int]) -> list[int]:
     return [r + a * ((t - r) * inv % q) for r in roots for t in qroots]
 
 
-def _window_roots(disc: int, a_max: int, top: int) -> Iterator[tuple[int, list[int]]]:
-    """(a, ks) for each a in 1..a_max that divides some m_b = (disc - b**2)/4
-    with b = top - 2k and 0 <= k < a, where ks lists those k: the roots mod a
-    of g(k) = m_b.
-
-    With s = isqrt(disc), a's reduction window s - b < 2a <= s + b (see
-    `reduced_forms`) holds no k >= a, and it holds every k < a when
-    2a <= s.
+def _window_roots(disc: int, top: int) -> Iterator[tuple[int, list[int]]]:
+    """(a, ks) for each a in 1..a_max, a_max = isqrt(disc) // 2, that
+    divides some m_b = (disc - b**2)/4 with b = top - 2k and 0 <= k < a,
+    where ks lists those k: the roots mod a of g(k) = m_b.
 
     The roots mod a are the CRT combinations of the roots mod its prime
     powers.  The a made of primes up to isqrt(a_max) come from a depth-first
@@ -128,6 +124,7 @@ def _window_roots(disc: int, a_max: int, top: int) -> Iterator[tuple[int, list[i
     those times a single larger prime q, and is formed last, q by q, so the
     roots of each such q are found once and held only while it is used.
     """
+    a_max = math.isqrt(disc) >> 1
     primes = intkit.primes_up_to(a_max)
     small = bisect_right(primes, max(2, math.isqrt(a_max)))  # 2 takes a tower
     towers = [(q, _tower(disc, a_max, top, q)) for q in primes[:small]]
@@ -167,8 +164,9 @@ def reduced_forms(disc: int) -> list[Form]:
 
     For each admissible b the product -a*c of a reduced form is m_b, so
     (a, b, -m_b/a) and (-a, b, m_b/a) are the reduced forms of leading
-    coefficient +-a.  As sqrt(disc) is irrational, |sqrt(disc) - 2|a|| < b
-    reads s - b < 2|a| <= s + b with s = isqrt(disc), and so |a| <= s.
+    coefficient +-a; |sqrt(disc) - 2|a|| < b reads s - b < 2|a| <= s + b.
+    The walk reaches the smaller a of each window pair a, c = m_b/a and
+    reads off the forms of +-a and, when a < c, of +-c.
 
     >>> reduced_forms(8)
     [(-1, 2, 1), (1, 2, -1)]
@@ -176,19 +174,19 @@ def reduced_forms(disc: int) -> list[Form]:
     s = _valid_disc(disc)
     top = _top_b(disc, s)
     forms: list[Form] = []
-    for a, ks in _window_roots(disc, s, top):
+    for a, ks in _window_roots(disc, top):
         for k in ks:
             b = top - 2 * k
-            if 2 * a > s + b:  # outside the window
-                continue
             c = ((disc - b * b) >> 2) // a
-            forms.append((a, b, -c))
-            forms.append((-a, b, c))
+            if a <= c:
+                forms += [(a, b, -c), (-a, b, c)]
+            if a < c:
+                forms += [(c, b, -a), (-c, b, a)]
     forms.sort()
     return forms
 
 
-def _divisor_counts(disc: int, s: int, top: int) -> list[int]:
+def _divisor_counts(disc: int, top: int) -> list[int]:
     """n_b, the number of window divisors d of m_b = (disc - b**2)/4, at
     b = top - 2k for k = 0, 1, ...
 
@@ -201,7 +199,7 @@ def _divisor_counts(disc: int, s: int, top: int) -> list[int]:
     k_min - 1, when (t + 1)**2 = disc - 4a**2.
     """
     counts = [0] * ((top + 1) >> 1)
-    for a, ks in _window_roots(disc, s >> 1, top):
+    for a, ks in _window_roots(disc, top):
         rest = disc - 4 * a * a  # m_b - a**2 = (rest - b**2)/4
         t = math.isqrt(rest - 1)
         k_min = (top - t + 1) >> 1
@@ -266,7 +264,7 @@ def _distance_bounds(disc: int, s: int) -> tuple[int, int]:
     as each factor is above 1.
     """
     top = _top_b(disc, s)
-    counts = _divisor_counts(disc, s, top)  # n_b at b = top - 2k
+    counts = _divisor_counts(disc, top)  # n_b at b = top - 2k
     root = math.isqrt(disc << 2 * _BITS)
     lo = hi = 1 << 2 * _BITS
     e = -2 * _BITS

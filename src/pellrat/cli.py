@@ -1,12 +1,13 @@
 """Command-line surface: single-cell reports, grid scans, Pell helpers.
 
-Scan output is a deterministic function of the grid: one serial loop
-writes the rows in (p, r, m) order, data rows carry no timestamps, and
+Scan output is a deterministic function of the grid: one serial pass
+computes the rows in (p, r, m) order, data rows carry no timestamps, and
 run metadata lives on a single '#' comment line (CSV only).
 
 Exit codes: 0 success, 1 usage or validation, 2 factorization incomplete
-in single-cell mode, 3 precision exhausted in single-cell mode, 4 output
-I/O failure.  Scans exit 0 on per-row failures; the rows carry notes.
+in single-cell mode, 3 precision exhausted in single-cell mode, 4 I/O
+failure on the output or the --cache file.  Scans exit 0 on per-row
+failures, which `compute_record` turns into notes on the rows.
 Each refusal raises `CommandError` where it is found, and only `entrypoint`
 turns a failure into its code and an `error: <message>` line on stderr;
 any other exception, `DefectError` above all, is a crash.
@@ -25,8 +26,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 from . import classno, intkit, invariants, padic, pellseq
-from .errors import (DefectError, IncompleteFactorization, PrecisionExhausted,
-                     ToolkitError)
+from .errors import IncompleteFactorization, PrecisionExhausted
 from .invariants import ScanRecord, null_record
 # fundamental_unit is unused since the field context owns eps; bench/test_bench.py
 # reads cli.fundamental_unit to check that the bench's spans wrap every binding
@@ -66,8 +66,9 @@ class FactorCache:
     crash can leave only the last line unterminated: loading drops that
     tail and truncates the file to its last newline.  Only complete
     factorizations are stored.  Invalid complete lines fail loudly, as a
-    usage error: a cache that lies is worse than no cache.  A cache that
-    cannot be appended to is an output I/O failure.
+    usage error: a cache that lies is worse than no cache.  A missing file
+    is an empty cache; one that cannot be read or appended to is an I/O
+    failure.
     """
 
     def __init__(self, path: str | None):
@@ -80,6 +81,8 @@ class FactorCache:
                 data = fh.read()
         except FileNotFoundError:
             return
+        except OSError as exc:
+            raise CommandError(f"cannot read {path}: {exc}", EXIT_IO)
         end = data.rfind(b"\n") + 1
         if end < len(data):
             os.truncate(path, end)
@@ -144,15 +147,20 @@ _BIG_FIELDS = {"N", "b", "D", "disc", "class_number", "an_prediction"}
 
 def compute_record(p: int, r: int, m: int, opts: PipelineOptions,
                    cache: FactorCache, strict: bool = False) -> ScanRecord:
-    """Run the whole pipeline on one grid cell.
+    """Run the whole pipeline on one grid cell and return its row.
 
-    An incomplete factorization always propagates; the caller decides
-    between an exit code and a null row.  With ``strict`` (single-cell
-    mode) precision exhaustion propagates too, for the exit-code contract;
-    otherwise it leaves null fields plus an explanatory note.
+    With ``strict`` (single-cell mode) an incomplete factorization or an
+    exhausted precision cap propagates, for the exit-code contract.
+    Otherwise each becomes a note on the row: a radicand left unfactored
+    gives the null row, and an exhausted cap leaves null residue orders.
     """
-    fam = construct_family(p, r, m,
-                           factor_fn=lambda v: cache.factor(v, opts.factor_effort))
+    try:
+        fam = construct_family(p, r, m,
+                               factor_fn=lambda v: cache.factor(v, opts.factor_effort))
+    except IncompleteFactorization:
+        if strict:
+            raise
+        return null_record(p, r, m, "factorization incomplete")
     ctx = invariants.field_context(fam, opts.classno_ceiling, opts.precision_cap, strict)
     return invariants.build_report(ctx)
 
@@ -386,18 +394,8 @@ def cmd_scan(args):
     cache = FactorCache(args.cache)
 
     # ps is sorted and rs and the m values ascend: rows come out in (p, r, m) order
-    records = []
-    for p in ps:
-        for r in rs:
-            for m in _m_values(m_arg, p, r):
-                try:
-                    records.append(compute_record(p, r, m, opts, cache))
-                except DefectError:
-                    raise
-                except IncompleteFactorization:
-                    records.append(null_record(p, r, m, "factorization incomplete"))
-                except ToolkitError as exc:
-                    records.append(null_record(p, r, m, f"{type(exc).__name__}: {exc}"))
+    records = [compute_record(p, r, m, opts, cache)
+               for p in ps for r in rs for m in _m_values(m_arg, p, r)]
 
     if args.format == "json":
         text = render_json(records)

@@ -160,8 +160,9 @@ def by_b_reduced_forms(disc: int) -> list[tuple[int, int, int]]:
     """Every reduced form of the given discriminant, sorted, by factoring
     (disc - b**2)/4 with `intkit.factor` once per admissible b.
 
-    The production code's former enumerator: the same reduction window as
-    `classno.reduced_forms`, but no sieve.
+    The production code's former enumerator: every divisor of m_b inside
+    the reduction window, with no sieve and no pairing of d with m_b/d,
+    so it stays independent of `classno.reduced_forms`' half walk.
     """
     from pellrat import intkit
 
@@ -183,15 +184,14 @@ def by_b_reduced_forms(disc: int) -> list[tuple[int, int, int]]:
 def full_range_counts(disc: int) -> list[int]:
     """n_b, the number of reduced forms (a, b, c) with a > 0, at
     b = top - 2k for k = 0, 1, ..., where top is the largest b <= isqrt(disc)
-    with b = disc mod 2: read off the whole list of `classno.reduced_forms`,
-    which takes every a <= isqrt(disc) inside its reduction window.
+    with b = disc mod 2: read off the whole list of `by_b_reduced_forms`,
+    which takes every divisor inside its reduction window.  The walk of
+    `classno.reduced_forms` would check the half walk against itself.
     """
-    from pellrat import classno
-
     s = math.isqrt(disc)
     top = s - ((s ^ disc) & 1)
     counts = [0] * ((top + 1) >> 1)
-    for a, b, _ in classno.reduced_forms(disc):
+    for a, b, _ in by_b_reduced_forms(disc):
         if a > 0:
             counts[(top - b) >> 1] += 1
     return counts

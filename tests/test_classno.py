@@ -47,10 +47,12 @@ def test_sieve_matches_the_by_b_enumeration_on_cell_discs(disc):
 
 def test_window_divisors_are_closed_under_the_cofactor():
     # the distance sum pairs (a, b, -m/a) with (-m/a, b, a) and so needs
-    # only the number of window divisors at each b
+    # only the number of window divisors at each b, and `reduced_forms`
+    # reads each pair off its smaller member; the forms come from the by-b
+    # oracle, as the production walk already rests on this closure
     for disc in DISCS + CELL_DISCS:
         by_b = {}
-        for a, b, _ in classno.reduced_forms(disc):
+        for a, b, _ in by_b_reduced_forms(disc):
             if a > 0:
                 by_b.setdefault(b, []).append(a)
         for b, ds in by_b.items():
@@ -75,7 +77,7 @@ def test_half_walk_counts_match_the_full_enumeration():
     weight_one = 0
     for disc in VALID_DISCS + CELL_DISCS:
         s = classno._valid_disc(disc)
-        counts = classno._divisor_counts(disc, s, classno._top_b(disc, s))
+        counts = classno._divisor_counts(disc, classno._top_b(disc, s))
         assert counts == oracles.full_range_counts(disc), disc
         weight_one += sum(n % 2 for n in counts)
     assert weight_one > 0
@@ -85,17 +87,19 @@ def test_distance_sum_walks_no_a_above_half_the_root(monkeypatch):
     walk = classno._window_roots
     seen = []
 
-    def recorded(disc, a_max, top):
-        for a, ks in walk(disc, a_max, top):
+    def recorded(disc, top):
+        for a, ks in walk(disc, top):
             seen.append(a)
             yield a, ks
 
     monkeypatch.setattr(classno, "_window_roots", recorded)
     for disc in DISCS + CELL_DISCS:
-        seen.clear()
         s = classno._valid_disc(disc)
-        classno._distance_bounds(disc, s)
-        assert seen and 2 * max(seen) <= s, disc
+        for run in (lambda: classno._distance_bounds(disc, s),
+                    lambda: classno.reduced_forms(disc)):
+            seen.clear()
+            run()
+            assert seen and 2 * max(seen) <= s, disc
 
 
 def test_class_number_factors_nothing(monkeypatch):

@@ -63,8 +63,9 @@ usage: pellrat scan [-h] --p P --r R [--m M] [--factor-effort FACTOR_EFFORT]
 """
 FIELD = ("field", "--p", "3", "--r", "2")
 SCAN = ("scan", "--p", "3", "--r", "2")
-# written by the table's test, in a fresh working directory
+# made by the table's test, in a fresh working directory
 BAD_CACHE = "bad-cache.txt"
+CACHE_DIR = "cache-dir"
 
 # every refused command: (argv, exit code, exact stderr); stdout stays empty
 REFUSALS = (
@@ -110,6 +111,8 @@ REFUSALS = (
      "/nonexistent-dir/c.txt: [Errno 2] No such file or directory: '/nonexistent-dir/c.txt'\n"),
     ((*FIELD, "--cache", BAD_CACHE), 1,
      f"error: cache line for 12 in {BAD_CACHE} does not multiply out\n"),
+    ((*FIELD, "--cache", CACHE_DIR), 4,
+     f"error: cannot read {CACHE_DIR}: [Errno 21] Is a directory: '{CACHE_DIR}'\n"),
 )
 
 
@@ -118,6 +121,7 @@ def test_field_usage_errors(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(tmp_path)
     (tmp_path / BAD_CACHE).write_text("12 2^2 5^1\n")
+    (tmp_path / CACHE_DIR).mkdir()
     for argv, code, err in REFUSALS:
         got = cli.entrypoint(list(argv))
         out, got_err = capsys.readouterr()

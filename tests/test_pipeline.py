@@ -18,7 +18,7 @@ from oracles import slow_pell
 
 from pellrat import classno, cli, invariants, padic, pellseq
 from pellrat import quadfield as qf
-from pellrat.errors import DefectError
+from pellrat.errors import DefectError, IncompleteFactorization
 
 DATA = Path(__file__).parent / "data"
 
@@ -63,6 +63,16 @@ def test_one_record_computes_each_field_quantity_once(monkeypatch):
     assert rec.greenberg == invariants.MU_LAMBDA_ZERO
     assert counts["fundamental_unit"] == 1
     assert all(n <= 1 for n in counts.values()), counts
+
+
+def test_compute_record_turns_an_unfactored_radicand_into_the_null_row():
+    # N = 325 at (3, 2, 2); effort 0 leaves its factorization incomplete
+    args = (3, 2, 2, cli.PipelineOptions(factor_effort=0), cli.FactorCache(None))
+    rec = cli.compute_record(*args)
+    assert rec == invariants.null_record(3, 2, 2, "factorization incomplete")
+    assert rec.D is None and rec.notes == ("factorization incomplete",)
+    with pytest.raises(IncompleteFactorization):
+        cli.compute_record(*args, strict=True)
 
 
 def test_field_context_holds_the_field_quantities(monkeypatch):
