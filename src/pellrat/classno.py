@@ -23,9 +23,10 @@ both the forms and the count walk only a <= s // 2, where every root lies
 in the window.  An a with a**2 < m_b yields its form and its partner's, and
 adds 2 to n_b; an a with a**2 = m_b yields one form and adds 1; a larger a
 yields nothing, as its partner below did.  The sum is carried as one
-product with integer lower and upper bounds, b by b, and compared with
-integer bounds on eps+ through a fixed-point log2; h+ is accepted only when
-the quotient's interval holds exactly one integer.  The wide class number
+integer lower product, b by b; its upper bound adds a proven slack per
+form instead of a second product.  Both are compared with integer bounds
+on eps+ through a fixed-point log2, and h+ is accepted only when the
+quotient's interval holds exactly one integer.  The wide class number
 follows from the norm of the fundamental unit.
 """
 
@@ -44,10 +45,12 @@ DEFAULT_DISC_CEILING = 10**10
 Form = tuple[int, int, int]
 
 # fractional bits of every fixed-point number here: the roots, the running
-# product's mantissa and the log2 values.  sqrt(D) - b >= 1/(2 sqrt(D)), so
-# each factor of the distance product is known to 2**(2 - _BITS) * sqrt(D)
-# relative, and up to 10**7 reduced forms at D <= 10**10 keep log2(hi/lo)
-# below 2**-20, far inside what telling h+ from h+ +- 1 needs.
+# product's mantissa and the log2 values.  Only a lower product is kept.
+# sqrt(D) - b >= 1/(2 sqrt(D)), so each of its factors is below the true
+# one by less than 3 * (isqrt(D) + 2) units of 2**-_BITS in log2, and the
+# upper bound adds that much per form; up to 10**7 reduced forms at
+# D <= 10**10 keep the width below about 2**-22 bits, far inside what
+# telling h+ from h+ +- 1 needs.
 _BITS = 64
 
 
@@ -122,19 +125,21 @@ def _window_roots(disc: int, top: int) -> Iterator[tuple[int, list[int]]]:
     powers.  The a made of primes up to isqrt(a_max) come from a depth-first
     walk over products of their towers' powers.  Every other a is one of
     those times a single larger prime q, and is formed last, q by q, so the
-    roots of each such q are found once and held only while it is used.
+    roots of each such q are found once and held only while it is used:
+    q itself takes them as they are, and each low a > 1 up to a_max // q
+    combines with them by the CRT.
     """
     a_max = math.isqrt(disc) >> 1
     primes = intkit.primes_up_to(a_max)
     small = bisect_right(primes, max(2, math.isqrt(a_max)))  # 2 takes a tower
     towers = [(q, _tower(disc, a_max, top, q)) for q in primes[:small]]
     low_max = a_max // primes[small] if small < len(primes) else 0
-    low = []  # (a, roots) for the a that a larger prime may extend
+    low = []  # (a, roots) for the a > 1 that a larger prime may extend
     yield 1, [0]
     stack = [(1, [0], 0)]
     while stack:
         a, roots, start = stack.pop()
-        if a <= low_max:
+        if 1 < a <= low_max:
             low.append((a, roots))
         for i in range(start, len(towers)):
             q, tower = towers[i]
@@ -152,11 +157,13 @@ def _window_roots(disc: int, top: int) -> Iterator[tuple[int, list[int]]]:
         qroots = _prime_roots(disc, top, q)
         if not qroots:
             continue
+        yield q, qroots
+        a_top = a_max // q
         for a, roots in low:
-            aq = a * q
-            if aq > a_max:
+            if a > a_top:
                 break
-            yield aq, _crt(a, roots, q, qroots)
+            inv = pow(a, -1, q)  # `_crt`, inlined: once per (low, q)
+            yield a * q, [r + a * ((t - r) * inv % q) for r in roots for t in qroots]
 
 
 def reduced_forms(disc: int) -> list[Form]:
@@ -253,20 +260,27 @@ def _distance_bounds(disc: int, s: int) -> tuple[int, int]:
     2 * n_b forms (+-d, b, -+m_b/d) at one b pair up, and the distances of
     a pair add up to log2((sqrt(disc) + b)/(sqrt(disc) - b)); the sum is
     n_b times that, summed over b, with n_b from `_divisor_counts`, which
-    walks only a <= s // 2.  It is kept as log2 of one product
-    [lo, hi] * 2**e, started at 2**(2 * _BITS) with e = -2 * _BITS.  With
+    walks only a <= s // 2.  The lower bound is log2 of one product
+    lo * 2**e, started at 2**(2 * _BITS) with e = -2 * _BITS.  With
     root = isqrt(disc * 4**_BITS) and z = b * 2**_BITS, the numerator
     (sqrt(disc) + b) * 2**_BITS lies in [root + z, root + z + 1) and the
     denominator in [root - z, root - z + 1), so lo takes
-    (root + z)**n // (root - z + 1)**n and hi the ceiling of
-    (root + z + 1)**n / (root - z)**n.  Both are cut back to 2 * _BITS
-    bits, lo down and hi up, whenever they grow past it; lo never shrinks,
-    as each factor is above 1.
+    (root + z)**n // (root - z + 1)**n and is cut back to 2 * _BITS bits
+    whenever it grows past it; it never shrinks, as each factor is above 1.
+
+    The upper bound needs no second product.  Per form, the true factor
+    exceeds the one taken by less than (1 + 1/root) * (1 + 2(s + 1)/2**_BITS),
+    as sqrt(disc) - b >= 1/(2 sqrt(disc)), and with root >= 2 * 2**_BITS
+    that is less than 3 * (s + 2) units of 2**-_BITS in log2.  lo stays at
+    or above 2**(2 * _BITS - 1), so each floor and each cut loses less than
+    2**(1 - 2 * _BITS) relative, below one unit.  So an upper bound on
+    log2(lo * 2**e) plus 3 * (s + 2) * sum(n_b) + 2 * #{b : n_b > 0} units
+    bounds the sum from above.
     """
     top = _top_b(disc, s)
     counts = _divisor_counts(disc, top)  # n_b at b = top - 2k
     root = math.isqrt(disc << 2 * _BITS)
-    lo = hi = 1 << 2 * _BITS
+    lo = 1 << 2 * _BITS
     e = -2 * _BITS
     for k in range(len(counts) - 1, -1, -1):  # ascending b
         n = counts[k]
@@ -274,14 +288,13 @@ def _distance_bounds(disc: int, s: int) -> tuple[int, int]:
             continue
         z = (top - 2 * k) << _BITS
         lo = lo * (root + z)**n // (root - z + 1)**n
-        hi = -(-hi * (root + z + 1)**n // (root - z)**n)
-        extra = hi.bit_length() - 2 * _BITS
+        extra = lo.bit_length() - 2 * _BITS
         if extra > 0:
             lo >>= extra
-            hi = -(-hi >> extra)
             e += extra
+    slack = 3 * (s + 2) * sum(counts) + 2 * (len(counts) - counts.count(0))
     return (_log2_bound(lo, False) + (e << _BITS),
-            _log2_bound(hi, True) + (e << _BITS))
+            _log2_bound(lo, True) + (e << _BITS) + slack)
 
 
 def narrow_class_number(disc: int, ceiling: int = DEFAULT_DISC_CEILING,

@@ -97,11 +97,16 @@ def jacobi(a: int, n: int) -> int:
 
 
 def sqrt_mod_prime(a: int, p: int) -> int:
-    """A square root of a modulo the odd prime p, by Tonelli-Shanks.
+    """A square root of a modulo the odd prime p.
 
-    a must be a square mod p; the root of 0 is 0.  A composite p or a
-    non-square a raises ValueError: the p = 3 mod 4 shortcut checks its
-    root, and the Tonelli-Shanks loop (p = 1 mod 4) stops instead of looping.
+    a must be a square mod p; the root of 0 is 0.  For p = 3 mod 4 the
+    root is a**((p + 1)/4), and for p = 5 mod 8 Atkin's a*v*(2a*v**2 - 1)
+    with v = (2a)**((p - 5)/8); both are checked by squaring back.  For
+    p = 1 mod 8, where 2 is a square, Tonelli-Shanks starts from the first
+    z >= 3 with z**((p - 1)/2) = -1 (Euler's criterion).  A composite p or
+    a non-square a raises ValueError: a root fails to square back,
+    z**((p - 1)/2) is neither 1 nor -1 (never so mod a prime), or the
+    Tonelli-Shanks loop stops instead of looping.
 
     >>> pow(sqrt_mod_prime(10, 13), 2, 13)
     10
@@ -109,8 +114,12 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     a %= p
     if a == 0:
         return 0
-    if p % 4 == 3:
-        root = pow(a, (p + 1) // 4, p)
+    if p % 8 != 1:
+        if p % 4 == 3:
+            root = pow(a, (p + 1) >> 2, p)
+        else:
+            v = pow(2 * a, (p - 5) >> 3, p)
+            root = a * v * (2 * a * v * v - 1) % p
         if root * root % p != a:
             raise ValueError(f"no square root of {a} mod {p}")
         return root
@@ -119,9 +128,9 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while (j := jacobi(z, p)) != -1:
-        if j == 0:  # an odd prime meets no such z below itself
+    z, half = 3, (p - 1) >> 1
+    while (euler := pow(z, half, p)) != p - 1:
+        if euler != 1:
             raise ValueError(f"{p} is not prime")
         z += 1
     m = s

@@ -197,6 +197,29 @@ def full_range_counts(disc: int) -> list[int]:
     return counts
 
 
+def decimal_distance_sum(disc: int):
+    """The distance sum sum_b n_b * log2((sqrt(disc) + b)/(sqrt(disc) - b))
+    as a `Decimal` in bits, worked to 50 digits, with n_b from
+    `full_range_counts`: no fixed point, no running product and no walk of
+    `classno`.  sqrt(disc) - b >= 1/(2 sqrt(disc)) costs the difference at
+    most 11 of the 50 digits below disc = 10**10, so the result is good to
+    far below 2**-64 bits.
+    """
+    from decimal import Decimal, localcontext
+
+    s = math.isqrt(disc)
+    top = s - ((s ^ disc) & 1)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        root = Decimal(disc).sqrt()
+        total = Decimal(0)
+        for k, n in enumerate(full_range_counts(disc)):
+            if n:
+                b = top - 2 * k
+                total += n * ((root + b) / (root - b)).ln()
+        return total / Decimal(2).ln()
+
+
 def rho_reduce(f: tuple[int, int, int]) -> tuple[int, int, int]:
     """One reduction step (a, b, c) -> (c, b', c'), the discriminant taken
     from the form itself.

@@ -83,6 +83,37 @@ def test_half_walk_counts_match_the_full_enumeration():
     assert weight_one > 0
 
 
+def test_window_roots_match_a_brute_force_search_below_3000():
+    # every a <= isqrt(disc)//2 with a root of g(k) = (disc - (top - 2k)**2)/4
+    # mod a comes once, with all its roots: the depth-first walk, a = 1
+    # times a large prime and the CRT for the larger lows alike
+    for disc in VALID_DISCS:
+        s = classno._valid_disc(disc)
+        top = classno._top_b(disc, s)
+        seen = {}
+        for a, ks in classno._window_roots(disc, top):
+            assert a not in seen, (disc, a)
+            seen[a] = sorted(ks)
+        brute = {}
+        for a in range(1, s // 2 + 1):
+            ks = [k for k in range(a) if (disc - (top - 2 * k)**2) // 4 % a == 0]
+            if ks:
+                brute[a] = ks
+        assert seen == brute, disc
+
+
+def test_distance_bounds_hold_the_decimal_sum():
+    # (lo, hi) against an independent 50-digit sum over the forms' by-b
+    # counts; the slack is far below one unit and far above the sum's error
+    slack = Decimal(10) ** -6
+    for disc in VALID_DISCS + CELL_DISCS:
+        lo, hi = classno._distance_bounds(disc, classno._valid_disc(disc))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            ref = oracles.decimal_distance_sum(disc) * _BIT
+            assert lo - slack <= ref <= hi + slack, disc
+
+
 def test_distance_sum_walks_no_a_above_half_the_root(monkeypatch):
     walk = classno._window_roots
     seen = []
@@ -118,8 +149,9 @@ def test_class_number_factors_nothing(monkeypatch):
 
 def test_narrow_class_number_at_1_5e9_within_budget():
     # cell (3, 9); with one factor() call per b this took about 3.5 s on a
-    # 2-core machine, a sieve over b about 0.5 s, and the enumeration by the
-    # leading coefficient takes about 0.06 s there
+    # 2-core machine, a sieve over b about 0.5 s, the enumeration by the
+    # leading coefficient about 0.06 s, and the half walk with one lower
+    # product takes about 0.02-0.04 s there
     t0 = time.perf_counter()
     assert classno.narrow_class_number(1549681960) == 2520
     elapsed = time.perf_counter() - t0
@@ -251,11 +283,16 @@ def test_log2_bounds_hold_against_a_decimal_reference(x):
 
 def test_narrow_class_number_past_the_default_ceiling_within_budget():
     # cell (3, 10) at disc 1.4e10; about 0.45 s by a sieve over b on a
-    # 2-core machine and about 0.15 s by the enumeration over a
+    # 2-core machine, about 0.15 s by the enumeration over a, and about
+    # 0.05-0.09 s by the half walk with one lower product
     t0 = time.perf_counter()
     assert classno.narrow_class_number(13947137608, ceiling=10**11) == 4560
     elapsed = time.perf_counter() - t0
     assert elapsed <= 1.0, f"{elapsed:.2f} s (budget 1.0 s)"
+    # the one-sided product's closed-form slack stays narrow at the top of
+    # the range, where sqrt(disc) - b is smallest against the fixed point
+    lo, hi = classno._distance_bounds(13947137608, math.isqrt(13947137608))
+    assert 0 < hi - lo < _BIT >> 20
 
 
 def test_narrow_class_number_at_1_5e9_holds_no_form_list():
