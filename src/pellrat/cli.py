@@ -6,8 +6,8 @@ run metadata lives on a single '#' comment line (CSV only).
 
 Exit codes: 0 success, 1 usage or validation, 2 factorization incomplete
 in single-cell mode, 3 precision exhausted in single-cell mode, 4 I/O
-failure on the output or the --cache file.  Scans exit 0 on per-row
-failures, which `compute_record` turns into notes on the rows.
+failure on the output, the --cache file or a closed stdout.  Scans exit 0
+on per-row failures, which `compute_record` turns into notes on the rows.
 Each refusal raises `CommandError` where it is found, and only `entrypoint`
 turns a failure into its code and an `error: <message>` line on stderr;
 any other exception, `DefectError` above all, is a crash.
@@ -54,13 +54,13 @@ _EXIT_CODES = {IncompleteFactorization: EXIT_FACTOR, PrecisionExhausted: EXIT_PR
 
 @dataclass(frozen=True)
 class PipelineOptions:
-    factor_effort: int = intkit.DEFAULT_FACTOR_EFFORT
     precision_cap: int = padic.DEFAULT_PRECISION_CAP
     classno_ceiling: int = classno.DEFAULT_DISC_CEILING
 
 
 class FactorCache:
-    """Plain-text factorization cache: one line per entry, `N p1^e1 p2^e2`.
+    """Radicand factoring at one effort, cached in a plain-text file: one
+    line per entry, `N p1^e1 p2^e2`.
 
     Loaded whole at construction; appends are flushed line by line.  A
     crash can leave only the last line unterminated: loading drops that
@@ -68,11 +68,13 @@ class FactorCache:
     factorizations are stored.  Invalid complete lines fail loudly, as a
     usage error: a cache that lies is worse than no cache.  A missing file
     is an empty cache; one that cannot be read or appended to is an I/O
-    failure.
+    failure.  With no file nothing is kept: rows share a radicand only
+    when m * p**r repeats across primes.
     """
 
-    def __init__(self, path: str | None):
+    def __init__(self, path: str | None, effort: int = intkit.DEFAULT_FACTOR_EFFORT):
         self.path = path
+        self.effort = effort
         self._table: dict[int, intkit.Factorization] = {}
         if path is None:
             return
@@ -116,21 +118,21 @@ class FactorCache:
         return self._table.get(n)
 
     def put(self, f: intkit.Factorization):
-        if not f.complete or f.value in self._table:
+        if self.path is None or not f.complete or f.value in self._table:
             return
         self._table[f.value] = f
-        if self.path is not None:
-            try:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(f.format_line() + "\n")
-            except OSError as exc:
-                raise CommandError(f"cannot write {self.path}: {exc}", EXIT_IO)
+        line = " ".join([str(f.value), *(f"{q}^{e}" for q, e in f.factors)])
+        try:
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write(line + "\n")
+        except OSError as exc:
+            raise CommandError(f"cannot write {self.path}: {exc}", EXIT_IO)
 
-    def factor(self, n: int, effort: int) -> intkit.Factorization:
+    def factor(self, n: int) -> intkit.Factorization:
         hit = self.get(n)
         if hit is not None:
             return hit
-        f = intkit.factor(n, effort)
+        f = intkit.factor(n, self.effort)
         self.put(f)
         return f
 
@@ -155,12 +157,11 @@ def compute_record(p: int, r: int, m: int, opts: PipelineOptions,
     gives the null row, and an exhausted cap leaves null residue orders.
     """
     try:
-        fam = construct_family(p, r, m,
-                               factor_fn=lambda v: cache.factor(v, opts.factor_effort))
+        fam = construct_family(p, r, m, factor_fn=cache.factor)
     except IncompleteFactorization:
         if strict:
             raise
-        return null_record(p, r, m, "factorization incomplete")
+        return null_record(p, r, m)
     ctx = invariants.field_context(fam, opts.classno_ceiling, opts.precision_cap, strict)
     return invariants.build_report(ctx)
 
@@ -285,8 +286,9 @@ def _parse_r_range(text: str) -> list[int]:
 
 
 # `scan --m bound` refuses a cell whose floor(m_bound) is above this: that
-# admits (3, 4) with 246,900 rows but not (5, 3) with about 2.1e10, and
-# `--m N` still reaches any single m
+# admits (3, 4), whose floor(m_bound) is 246,900 and which prints 164,600
+# rows, but not (5, 3) with about 1.7e10 rows, and `--m N` still reaches
+# any single m
 M_BOUND_MAX = 10**6
 
 
@@ -352,15 +354,15 @@ def _options_from(args) -> PipelineOptions:
         raise CommandError("--precision-cap must be >= 1")
     if args.classno_ceiling < 1:
         raise CommandError("--classno-ceiling must be >= 1")
-    return PipelineOptions(factor_effort=args.factor_effort,
-                           precision_cap=args.precision_cap,
+    return PipelineOptions(precision_cap=args.precision_cap,
                            classno_ceiling=args.classno_ceiling)
 
 
 def cmd_field(args):
     _checked(check_cell, args.p, args.r, args.m)
     opts = _options_from(args)
-    rec = compute_record(args.p, args.r, args.m, opts, FactorCache(args.cache), strict=True)
+    cache = FactorCache(args.cache, args.factor_effort)
+    rec = compute_record(args.p, args.r, args.m, opts, cache, strict=True)
     if args.format == "json":
         text = json.dumps(record_to_json_obj(rec), indent=2) + "\n"
     elif args.format == "csv":
@@ -391,7 +393,7 @@ def cmd_scan(args):
                     raise CommandError(f"--m bound: floor(m_bound({p}, {r})) exceeds "
                                        f"{M_BOUND_MAX}; use --m N for a single m")
     opts = _options_from(args)
-    cache = FactorCache(args.cache)
+    cache = FactorCache(args.cache, args.factor_effort)
 
     # ps is sorted and rs and the m values ascend: rows come out in (p, r, m) order
     records = [compute_record(p, r, m, opts, cache)
@@ -436,12 +438,21 @@ def entrypoint(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(0)
         try:
             {"field": cmd_field, "scan": cmd_scan, "gseq": cmd_gseq}[args.command](args)
+            sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         finally:
             if limit is not None:
                 sys.set_int_max_str_digits(limit)
     except (CommandError, *_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, CommandError) else _EXIT_CODES[type(exc)]
+    except BrokenPipeError as exc:
+        # the reader closed stdout; fd 1 goes to /dev/null, or the
+        # interpreter's flush of what is still buffered raises again at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_OK
 
 

@@ -203,13 +203,7 @@ def valuation(n: int, p: int) -> int:
 
 
 def _iroot(n: int, k: int) -> int:
-    # floor of the k-th root, Newton from an overestimate
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n == 0:
-        return 0
-    if k == 1:
-        return n
+    # floor of the k-th root of n >= 1 for k >= 2, Newton from an overestimate
     if k == 2:
         return math.isqrt(n)
     x = 1 << ((n.bit_length() + k - 1) // k)
@@ -264,10 +258,6 @@ class Factorization:
             prod *= p**e
         return self.value // prod
 
-    def format_line(self) -> str:
-        body = " ".join(f"{p}^{e}" for p, e in self.factors)
-        return f"{self.value} {body}"
-
 
 def _brent_rho(n: int, budget: int):
     # Brent's cycle variant; seeding from n keeps every run reproducible.
@@ -289,7 +279,7 @@ def _brent_rho(n: int, budget: int):
                 steps = min(m, r - k)
                 for _ in range(steps):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n  # a sign flip leaves gcd(q, n) as it is
                 spent += steps
                 g = math.gcd(q, n)
                 k += m
@@ -298,7 +288,7 @@ def _brent_rho(n: int, budget: int):
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if 1 < g < n:
             return g
     return None

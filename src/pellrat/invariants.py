@@ -259,11 +259,12 @@ class ScanRecord:
             raise DefectError("prediction present without a verdict")
 
 
-def null_record(p: int, r: int, m: int, note: str) -> ScanRecord:
-    """The row of a cell whose field could not be built."""
+def null_record(p: int, r: int, m: int) -> ScanRecord:
+    """The row of a cell whose radicand could not be factored within budget."""
     return ScanRecord(p=p, r=r, m=m, N=m * m * p ** (2 * r) + 1,
                       wieferich=intkit.is_wieferich(p),
-                      m_bound_ok=m_bound_satisfied(p, r, m), notes=(note,))
+                      m_bound_ok=m_bound_satisfied(p, r, m),
+                      notes=("factorization incomplete",))
 
 
 def build_report(ctx: FieldContext) -> ScanRecord:

@@ -265,11 +265,12 @@ class FamilyField:
         return self.field.d
 
 
-def _m_bound_parts(p: int, r: int) -> tuple[int, int]:
+def _m_bound_terms(p: int, r: int) -> tuple[int, int]:
+    # (1 + C(q, 2), q) with q = p**(r-1): the bound's coefficient and its power of 2
     if r < 2:
         raise ValueError("r must be >= 2")
     q = p ** (r - 1)
-    return (1 + math.comb(q, 2)) * p ** (q - r), q
+    return 1 + math.comb(q, 2), q
 
 
 def m_bound(p: int, r: int) -> Fraction:
@@ -277,14 +278,14 @@ def m_bound(p: int, r: int) -> Fraction:
 
     (1 + binomial(q, 2)) * p**(q - r) / 2**q with q = p**(r-1).
     """
-    num, q = _m_bound_parts(p, r)
-    return Fraction(num, 2**q)
+    coeff, q = _m_bound_terms(p, r)
+    return Fraction(coeff * p ** (q - r), 2**q)
 
 
 def m_bound_floor(p: int, r: int) -> int:
     """floor(m_bound(p, r)) as a shift; the Fraction's gcd takes seconds past q ~ 1e5."""
-    num, q = _m_bound_parts(p, r)
-    return num >> q
+    coeff, q = _m_bound_terms(p, r)
+    return coeff * p ** (q - r) >> q
 
 
 def m_bound_satisfied(p: int, r: int, m: int) -> bool:
@@ -295,11 +296,9 @@ def m_bound_satisfied(p: int, r: int, m: int) -> bool:
     sides usually settle it without building p**k, which has about
     q*log2(p) bits.  Only a close call falls back to the exact shift.
     """
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    q = p ** (r - 1)
+    coeff, q = _m_bound_terms(p, r)
     k = q - r
-    coeff_bits = (1 + math.comb(q, 2)).bit_length()
+    coeff_bits = coeff.bit_length()
     lhs_bits = m.bit_length() + q  # 2**(lhs_bits-1) <= m * 2**q < 2**lhs_bits
     if lhs_bits <= coeff_bits - 1 + k * (p.bit_length() - 1):
         return True

@@ -233,19 +233,52 @@ sys.exit(entrypoint(sys.argv[1:]))
 """
 
 
+def child_env():
+    src = os.path.dirname(os.path.dirname(pellrat.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("p, r", [(5, 3), (11, 2)])
 def test_scan_m_bound_refuses_a_bound_past_the_cap(p, r):
     # floor(m_bound) is about 2.1e10 at (5, 3) and 6.4e7 at (11, 2)
-    src = os.path.dirname(os.path.dirname(pellrat.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", SMALL_CHILD, "scan", "--p", f"3,{p}", "--r", f"2..{r}",
-         "--m", "bound"], capture_output=True, text=True, timeout=30, env=env)
+         "--m", "bound"], capture_output=True, text=True, timeout=30, env=child_env())
     assert proc.returncode == cli.EXIT_USAGE, proc.stderr[-500:]
     assert proc.stdout == ""
     assert proc.stderr == (f"error: --m bound: floor(m_bound({p}, {r})) exceeds "
                            f"1000000; use --m N for a single m\n")
+
+
+def test_closed_stdout_is_an_io_failure():
+    # G_200000 and F_200000 print about 150 kB, more than a pipe holds, so
+    # the child writes into a pipe whose reader has gone
+    with subprocess.Popen([sys.executable, "-c", SMALL_CHILD, "gseq", "pair", "200000"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=child_env()) as proc:
+        assert proc.stdout.read(5) == b"G=685"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == cli.EXIT_IO
+    assert err == b"error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+def test_short_output_to_a_closed_stdout_is_an_io_failure():
+    # G_5 fits in the buffer of a block-buffered stdout, so the write itself
+    # succeeds and only the flush meets the pipe, closed before the child starts
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        proc = subprocess.run([sys.executable, "-c", SMALL_CHILD, "gseq", "pair", "5"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_IO
+    assert proc.stderr == b"error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 def test_scan_m_bound_cap_is_inclusive(capsys, monkeypatch):
@@ -371,12 +404,24 @@ def test_factor_cache_rejects_lies(tmp_path):
         cli.FactorCache(str(path))
 
 
-def test_factor_cache_skips_incomplete():
-    cache = cli.FactorCache(None)
+def test_factor_cache_skips_incomplete(tmp_path):
+    path = tmp_path / "cache.txt"
+    path.write_text("")
+    cache = cli.FactorCache(str(path))
     f = intkit.factor(10000000019 * 10000000033, effort=0)
     assert not f.complete
     cache.put(f)
     assert cache.get(f.value) is None
+    assert path.read_text() == ""
+
+
+def test_factor_cache_without_a_file_keeps_nothing():
+    cache = cli.FactorCache(None)
+    f = intkit.factor(59050)
+    cache.put(f)
+    assert cache.get(59050) is None
+    assert cache.factor(59050) == f
+    assert cache.get(59050) is None
 
 
 def test_scan_uses_cache_file(capsys, tmp_path):

@@ -160,11 +160,10 @@ def test_factor_trial_fallback_after_a_rho_miss(monkeypatch):
     assert f.factors == ((3, 1), (10007, 1), (10009, 1))
 
 
-def test_factorization_cofactor_and_format():
+def test_factorization_cofactor():
     f = intkit.factor(59050)
     assert f.factors == ((2, 1), (5, 2), (1181, 1))
     assert f.cofactor == 1
-    assert f.format_line() == "59050 2^1 5^2 1181^1"
 
 
 def test_factor_is_deterministic():

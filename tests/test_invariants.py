@@ -241,7 +241,7 @@ def test_row_defect_guards():
     with pytest.raises(DefectError, match="prediction present without a verdict"):
         replace(row, greenberg=invariants.INCONCLUSIVE)
     # a row without a field carries no verdict and passes every gate
-    null = invariants.null_record(3, 2, 1, "factorization incomplete")
+    null = invariants.null_record(3, 2, 1)
     assert (null.greenberg, null.an_prediction, null.D) == (invariants.INCONCLUSIVE, None, None)
 
 

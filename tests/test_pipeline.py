@@ -67,9 +67,9 @@ def test_one_record_computes_each_field_quantity_once(monkeypatch):
 
 def test_compute_record_turns_an_unfactored_radicand_into_the_null_row():
     # N = 325 at (3, 2, 2); effort 0 leaves its factorization incomplete
-    args = (3, 2, 2, cli.PipelineOptions(factor_effort=0), cli.FactorCache(None))
+    args = (3, 2, 2, cli.PipelineOptions(), cli.FactorCache(None, effort=0))
     rec = cli.compute_record(*args)
-    assert rec == invariants.null_record(3, 2, 2, "factorization incomplete")
+    assert rec == invariants.null_record(3, 2, 2)
     assert rec.D is None and rec.notes == ("factorization incomplete",)
     with pytest.raises(IncompleteFactorization):
         cli.compute_record(*args, strict=True)
