@@ -25,16 +25,17 @@ adds 2 to n_b; an a with a**2 = m_b yields one form and adds 1; a larger a
 yields nothing, as its partner below did.  The sum is carried as one
 integer lower product, b by b; its upper bound adds a proven slack per
 form instead of a second product.  Both are compared with integer bounds
-on eps+ through a fixed-point log2, and h+ is accepted only when the
-quotient's interval holds exactly one integer.  The wide class number
-follows from the norm of the fundamental unit.
+on eps+ through a fixed-point log2 whose width is sized, per discriminant,
+by that slack, and h+ is accepted only when the quotient's interval holds
+exactly one integer.  The wide class number follows from the norm of the
+fundamental unit.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Callable
 
 from . import intkit
 from .errors import DefectError, DiscriminantTooLarge
@@ -44,14 +45,29 @@ DEFAULT_DISC_CEILING = 10**10
 
 Form = tuple[int, int, int]
 
-# fractional bits of every fixed-point number here: the roots, the running
-# product's mantissa and the log2 values.  Only a lower product is kept.
-# sqrt(D) - b >= 1/(2 sqrt(D)), so each of its factors is below the true
-# one by less than 3 * (isqrt(D) + 2) units of 2**-_BITS in log2, and the
-# upper bound adds that much per form; up to 10**7 reduced forms at
-# D <= 10**10 keep the width below about 2**-22 bits, far inside what
-# telling h+ from h+ +- 1 needs.
-_BITS = 64
+# The fixed point.  The roots, the running product's mantissa and the log2
+# values all carry B fractional bits, and a unit is 2**-B.  B is chosen per
+# discriminant once the counts n_b are known, as the least B >= _MIN_BITS
+# with slack + 12 < 2**(B - _MARGIN_BITS), where s = isqrt(D) and
+# slack = 3 * (s + 2) * sum(n_b) + 2 * #{b : n_b > 0}.  Then:
+# - Per form, the one lower product's factor is below the true one by a
+#   ratio under (1 + 1/root) * (1 + 1/(root - z)), root = isqrt(D * 4**B)
+#   and z = b * 2**B.  As sqrt(D) - b >= 1/(2 sqrt(D)), root - z is at least
+#   2**B / (2(s + 1)) - 1, and 2**B > 2**20 * 3(s + 2) makes the -1 vanish
+#   against it, so the loss is under (1 + 2(s + 1)(1 + 2**-18)) / ln 2, less
+#   than 3(s + 2) units.  Each floor and each cut of the mantissa, which
+#   stays at or above 2**(2B - 1), loses less than one unit: two per b.
+# - So the sum's interval is at most slack + 12 units wide, 12 for the two
+#   log2 bounds of the product, and thus narrower than 2**-_MARGIN_BITS
+#   bits at any D: no ceiling enters the argument.
+# - eps+'s log2 bounds at the same B are at most 14 units apart, and
+#   sum(n_b) >= h+ (each cycle has a form) gives 2**B > 2**20 * 3 * h+.  So
+#   h+ times that gap over log2 eps+ >= log2((3 + sqrt(5))/2) > 1.38 moves
+#   the quotient by under 2**-20 as well.  The quotient's interval holds
+#   exactly one integer unless the unit or the sum is wrong, which
+#   `narrow_class_number` reports as a DefectError.
+_MIN_BITS = 24
+_MARGIN_BITS = 20
 
 
 def _valid_disc(disc: int) -> int:
@@ -73,14 +89,14 @@ def _prime_roots(disc: int, top: int, q: int) -> list[int]:
     """The roots mod the odd prime q of g(k) = (disc - (top - 2k)**2)/4.
 
     q divides g(k) exactly when b = top - 2k has b**2 = disc mod q, so a
-    square root t of disc mod q (Euler's criterion, then Tonelli-Shanks)
-    gives k = (top -+ t)/2 mod q: one root when q divides disc, two when
-    disc is a nonzero square mod q, none otherwise.
+    square root t of disc mod q gives k = (top -+ t)/2 mod q: one root when
+    q divides disc, two when disc is a nonzero square mod q, none otherwise.
+    `intkit.sqrt_mod` tells the last case apart by the same power that
+    finds a root.
     """
-    dq = disc % q
-    if dq and pow(dq, (q - 1) >> 1, q) != 1:
+    t = intkit.sqrt_mod(disc % q, q)
+    if t is None:
         return []
-    t = intkit.sqrt_mod_prime(dq, q)
     half = (q + 1) >> 1  # the inverse of 2 mod q
     k1, k2 = (top - t) * half % q, (top + t) * half % q
     return [k1] if k1 == k2 else [k1, k2]
@@ -116,10 +132,12 @@ def _crt(a: int, roots: list[int], q: int, qroots: list[int]) -> list[int]:
     return [r + a * ((t - r) * inv % q) for r in roots for t in qroots]
 
 
-def _window_roots(disc: int, top: int) -> Iterator[tuple[int, list[int]]]:
-    """(a, ks) for each a in 1..a_max, a_max = isqrt(disc) // 2, that
-    divides some m_b = (disc - b**2)/4 with b = top - 2k and 0 <= k < a,
-    where ks lists those k: the roots mod a of g(k) = m_b.
+def _window_roots(disc: int, top: int, take: Callable[[int, list[int]], None]) -> None:
+    """Call take(a, ks) for each a in 1..a_max, a_max = isqrt(disc) // 2,
+    that divides some m_b = (disc - b**2)/4 with b = top - 2k and
+    0 <= k < a, where ks lists those k: the roots mod a of g(k) = m_b.
+    Each consumer passes its own ``take``, so there is one walk, and no
+    (a, ks) is kept beyond the call but the low ones a larger prime extends.
 
     The roots mod a are the CRT combinations of the roots mod its prime
     powers.  The a made of primes up to isqrt(a_max) come from a depth-first
@@ -135,7 +153,7 @@ def _window_roots(disc: int, top: int) -> Iterator[tuple[int, list[int]]]:
     towers = [(q, _tower(disc, a_max, top, q)) for q in primes[:small]]
     low_max = a_max // primes[small] if small < len(primes) else 0
     low = []  # (a, roots) for the a > 1 that a larger prime may extend
-    yield 1, [0]
+    take(1, [0])
     stack = [(1, [0], 0)]
     while stack:
         a, roots, start = stack.pop()
@@ -151,19 +169,19 @@ def _window_roots(disc: int, top: int) -> Iterator[tuple[int, list[int]]]:
                     break
                 ks = _crt(a, roots, qe, qroots)
                 stack.append((aq, ks, i + 1))
-                yield aq, ks
+                take(aq, ks)
     low.sort()
     for q in primes[small:]:
         qroots = _prime_roots(disc, top, q)
         if not qroots:
             continue
-        yield q, qroots
+        take(q, qroots)
         a_top = a_max // q
         for a, roots in low:
             if a > a_top:
                 break
             inv = pow(a, -1, q)  # `_crt`, inlined: once per (low, q)
-            yield a * q, [r + a * ((t - r) * inv % q) for r in roots for t in qroots]
+            take(a * q, [r + a * ((t - r) * inv % q) for r in roots for t in qroots])
 
 
 def reduced_forms(disc: int) -> list[Form]:
@@ -181,14 +199,17 @@ def reduced_forms(disc: int) -> list[Form]:
     s = _valid_disc(disc)
     top = _top_b(disc, s)
     forms: list[Form] = []
-    for a, ks in _window_roots(disc, top):
+
+    def take(a: int, ks: list[int]) -> None:
         for k in ks:
             b = top - 2 * k
             c = ((disc - b * b) >> 2) // a
             if a <= c:
-                forms += [(a, b, -c), (-a, b, c)]
+                forms.extend(((a, b, -c), (-a, b, c)))
             if a < c:
-                forms += [(c, b, -a), (-c, b, a)]
+                forms.extend(((c, b, -a), (-c, b, a)))
+
+    _window_roots(disc, top, take)
     forms.sort()
     return forms
 
@@ -206,7 +227,8 @@ def _divisor_counts(disc: int, top: int) -> list[int]:
     k_min - 1, when (t + 1)**2 = disc - 4a**2.
     """
     counts = [0] * ((top + 1) >> 1)
-    for a, ks in _window_roots(disc, top):
+
+    def tally(a: int, ks: list[int]) -> None:
         rest = disc - 4 * a * a  # m_b - a**2 = (rest - b**2)/4
         t = math.isqrt(rest - 1)
         k_min = (top - t + 1) >> 1
@@ -216,85 +238,84 @@ def _divisor_counts(disc: int, top: int) -> list[int]:
                 counts[k] += 2
             elif k == k_square:
                 counts[k] += 1
+
+    _window_roots(disc, top, tally)
     return counts
 
 
-def _log2_bound(x: int, up: bool) -> int:
-    """Bound on log2(x) * 2**_BITS for an int x >= 1: a lower bound, or an
+def _log2_bound(x: int, up: bool, bits: int) -> int:
+    """Bound on log2(x) * 2**bits for an int x >= 1: a lower bound, or an
     upper bound when ``up`` is set.
 
     The integer part comes from the bit length, the fraction from the top
-    _BITS + 1 bits of x, rounded the way of the bound, as binary digits by
-    repeated squaring: y/2**_BITS is in [1, 2], and a square at 2 or above
+    bits + 1 bits of x, rounded the way of the bound, as binary digits by
+    repeated squaring: y/2**bits is in [1, 2], and a square at 2 or above
     yields a 1 bit and is halved.  Rounding every square down keeps each
     step's value at or below the exact one, so the digits read a lower
     bound; rounding up keeps it at or above, and the digits plus one unit
     in the last place are an upper bound.  Each bound is within 6 units in
-    the last place of the exact value: every rounding is at most 2**-_BITS
+    the last place of the exact value: every rounding is at most 2**-bits
     relative, and the squarings' losses halve step by step.
     """
     n = x.bit_length() - 1
-    shift = n - _BITS
+    shift = n - bits
     if shift > 0:
         y = x >> shift
         if up and y << shift != x:
             y += 1
     else:
         y = x << -shift
-    two, bits = 2 << _BITS, 0
-    for _ in range(_BITS):
+    two, digits = 2 << bits, 0
+    for _ in range(bits):
         y *= y
-        y = -(-y >> _BITS) if up else y >> _BITS
-        bits <<= 1
+        y = -(-y >> bits) if up else y >> bits
+        digits <<= 1
         if y >= two:
-            bits |= 1
+            digits |= 1
             y = -(-y >> 1) if up else y >> 1
-    return (n << _BITS) + bits + up
+    return (n << bits) + digits + up
 
 
-def _distance_bounds(disc: int, s: int) -> tuple[int, int]:
-    """Bounds on the distance sum, sum log2((b + sqrt(disc))/(2|a|)) over
-    the reduced forms, times 2**_BITS.
+def _distance_bounds(disc: int, s: int) -> tuple[int, int, int]:
+    """(lo, hi, B): bounds on the distance sum,
+    sum log2((b + sqrt(disc))/(2|a|)) over the reduced forms, times 2**B,
+    where B is the fixed point's width that the counts call for (see
+    _MIN_BITS).
 
     The window s - b < 2d <= s + b is closed under d -> m_b/d, so the
     2 * n_b forms (+-d, b, -+m_b/d) at one b pair up, and the distances of
     a pair add up to log2((sqrt(disc) + b)/(sqrt(disc) - b)); the sum is
     n_b times that, summed over b, with n_b from `_divisor_counts`, which
     walks only a <= s // 2.  The lower bound is log2 of one product
-    lo * 2**e, started at 2**(2 * _BITS) with e = -2 * _BITS.  With
-    root = isqrt(disc * 4**_BITS) and z = b * 2**_BITS, the numerator
-    (sqrt(disc) + b) * 2**_BITS lies in [root + z, root + z + 1) and the
-    denominator in [root - z, root - z + 1), so lo takes
-    (root + z)**n // (root - z + 1)**n and is cut back to 2 * _BITS bits
-    whenever it grows past it; it never shrinks, as each factor is above 1.
-
-    The upper bound needs no second product.  Per form, the true factor
-    exceeds the one taken by less than (1 + 1/root) * (1 + 2(s + 1)/2**_BITS),
-    as sqrt(disc) - b >= 1/(2 sqrt(disc)), and with root >= 2 * 2**_BITS
-    that is less than 3 * (s + 2) units of 2**-_BITS in log2.  lo stays at
-    or above 2**(2 * _BITS - 1), so each floor and each cut loses less than
-    2**(1 - 2 * _BITS) relative, below one unit.  So an upper bound on
-    log2(lo * 2**e) plus 3 * (s + 2) * sum(n_b) + 2 * #{b : n_b > 0} units
-    bounds the sum from above.
+    lo * 2**e, started at 2**(2B) with e = -2B.  With root = isqrt(disc * 4**B)
+    and z = b * 2**B, the numerator (sqrt(disc) + b) * 2**B lies in
+    [root + z, root + z + 1) and the denominator in [root - z, root - z + 1),
+    so lo takes (root + z)**n // (root - z + 1)**n and is cut back to 2B
+    bits whenever it grows past it; it never shrinks, as each factor is
+    above 1.  The upper bound needs no second product: an upper bound on
+    log2(lo * 2**e) plus the slack of _MIN_BITS' comment bounds the sum
+    from above.
     """
     top = _top_b(disc, s)
     counts = _divisor_counts(disc, top)  # n_b at b = top - 2k
-    root = math.isqrt(disc << 2 * _BITS)
-    lo = 1 << 2 * _BITS
-    e = -2 * _BITS
+    slack = 3 * (s + 2) * sum(counts) + 2 * (len(counts) - counts.count(0))
+    # the width, with 12 more units for the two log2 bounds of the product
+    bits = max(_MIN_BITS, (slack + 12).bit_length() + _MARGIN_BITS)
+    root = math.isqrt(disc << 2 * bits)
+    lo = 1 << 2 * bits
+    e = -2 * bits
     for k in range(len(counts) - 1, -1, -1):  # ascending b
         n = counts[k]
         if not n:
             continue
-        z = (top - 2 * k) << _BITS
+        z = (top - 2 * k) << bits
         lo = lo * (root + z)**n // (root - z + 1)**n
-        extra = lo.bit_length() - 2 * _BITS
+        extra = lo.bit_length() - 2 * bits
         if extra > 0:
             lo >>= extra
             e += extra
-    slack = 3 * (s + 2) * sum(counts) + 2 * (len(counts) - counts.count(0))
-    return (_log2_bound(lo, False) + (e << _BITS),
-            _log2_bound(lo, True) + (e << _BITS) + slack)
+    return (_log2_bound(lo, False, bits) + (e << bits),
+            _log2_bound(lo, True, bits) + (e << bits) + slack, bits)
 
 
 def narrow_class_number(disc: int, ceiling: int = DEFAULT_DISC_CEILING,
@@ -316,12 +337,12 @@ def narrow_class_number(disc: int, ceiling: int = DEFAULT_DISC_CEILING,
         eps = fundamental_unit(QuadraticField(disc if disc % 4 == 1 else disc // 4))
     if eps.field.disc != disc:
         raise ValueError(f"{eps!r} is no unit of the field of discriminant {disc}")
+    s_lo, s_hi, bits = _distance_bounds(disc, s)
     plus = eps if qi_norm(eps) == 1 else eps * eps
-    num = (plus.u << _BITS) + math.isqrt(plus.v * plus.v * plus.field.d << 2 * _BITS)
-    y = num // plus.den  # eps+ * 2**_BITS lies in [y, y + 1)
-    r_lo = _log2_bound(y, False) - (_BITS << _BITS)
-    r_hi = _log2_bound(y + 1, True) - (_BITS << _BITS)
-    s_lo, s_hi = _distance_bounds(disc, s)
+    num = (plus.u << bits) + math.isqrt(plus.v * plus.v * plus.field.d << 2 * bits)
+    y = num // plus.den  # eps+ * 2**bits lies in [y, y + 1)
+    r_lo = _log2_bound(y, False, bits) - (bits << bits)
+    r_hi = _log2_bound(y + 1, True, bits) - (bits << bits)
     first, last = -(-s_lo // r_hi), s_hi // r_lo
     if first != last or first < 1:
         raise DefectError(f"distance sum over log2 eps+ at disc {disc} holds no "

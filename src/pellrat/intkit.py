@@ -96,55 +96,93 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def sqrt_mod_prime(a: int, p: int) -> int:
-    """A square root of a modulo the odd prime p.
+def _square_flags(z: int) -> bytes:
+    flags = bytearray(z)
+    for x in range(z):
+        flags[x * x % z] = 1
+    return bytes(flags)
 
-    a must be a square mod p; the root of 0 is 0.  For p = 3 mod 4 the
-    root is a**((p + 1)/4), and for p = 5 mod 8 Atkin's a*v*(2a*v**2 - 1)
-    with v = (2a)**((p - 5)/8); both are checked by squaring back.  For
-    p = 1 mod 8, where 2 is a square, Tonelli-Shanks starts from the first
-    z >= 3 with z**((p - 1)/2) = -1 (Euler's criterion).  A composite p or
-    a non-square a raises ValueError: a root fails to square back,
-    z**((p - 1)/2) is neither 1 nor -1 (never so mod a prime), or the
-    Tonelli-Shanks loop stops instead of looping.
 
-    >>> pow(sqrt_mod_prime(10, 13), 2, 13)
-    10
+# (z, flags) for the odd primes z in _SMALL_PRIMES, flags[r] = 1 when r is a
+# square mod z, which `_non_residue` reads (z/p) = (p/z) off; 0 counts as a
+# square, so a z that divides a composite p is passed over, never taken for
+# a non-square
+_SQUARES_MOD = tuple((z, _square_flags(z)) for z in _SMALL_PRIMES[1:])
+
+
+def _non_residue(p: int) -> int | None:
+    """The least non-square mod the prime p = 1 mod 8, or None when p
+    shows itself composite.
+
+    The least non-square is a prime, and it is odd as 2 is a square mod p.
+    For an odd prime z, (z/p) = (p/z) since p = 1 mod 4, so the primes up
+    to 97 are tried by looking p mod z up among the squares mod z, with no
+    power.  Past them Euler's criterion takes over: z**((p - 1)/2) is -1
+    for a non-square and 1 for a square, and anything else proves p
+    composite (at the latest at the first z that shares a factor with p).
+    """
+    for z, squares in _SQUARES_MOD:
+        if not squares[p % z]:
+            return z
+    z, half = _SMALL_PRIMES[-1] + 2, (p - 1) >> 1
+    while (euler := pow(z, half, p)) != p - 1:
+        if euler != 1:
+            return None
+        z += 2
+    return z
+
+
+def sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a modulo the odd prime p, or None when a is not a
+    square mod p; the root of 0 is 0.
+
+    One power of a finds the root or shows there is none, so no separate
+    Euler test is needed.  For p = 3 mod 4 the root is a**((p + 1)/4), and for
+    p = 5 mod 8 Atkin's a*v*(2a*v**2 - 1) with v = (2a)**((p - 5)/8); either
+    is a root exactly when it squares back to a.  For p = 1 mod 8, with
+    p - 1 = q * 2**m and q odd, x = a**((q - 1)/2) gives both t = a**q = a*x**2
+    and Tonelli-Shanks's first guess a*x = a**((q + 1)/2), whose square is
+    a*t.  a is a square exactly when t**(2**(m - 1)) = 1; the loop then
+    corrects the guess by powers of z**q for the non-square z of
+    `_non_residue` until t = 1, keeping root**2 = a*t throughout.  So a
+    root returned squares back to a for any odd modulus, and a composite p
+    gives a root or None, never an endless loop.
+
+    >>> sqrt_mod(10, 13) in (6, 7)
+    True
+    >>> sqrt_mod(5, 13) is None
+    True
     """
     a %= p
     if a == 0:
         return 0
-    if p % 8 != 1:
-        if p % 4 == 3:
+    if p & 7 != 1:
+        if p & 3 == 3:
             root = pow(a, (p + 1) >> 2, p)
         else:
             v = pow(2 * a, (p - 5) >> 3, p)
             root = a * v * (2 * a * v * v - 1) % p
-        if root * root % p != a:
-            raise ValueError(f"no square root of {a} mod {p}")
-        return root
+        return root if root * root % p == a else None
     q = p - 1
-    s = 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z, half = 3, (p - 1) >> 1
-    while (euler := pow(z, half, p)) != p - 1:
-        if euler != 1:
-            raise ValueError(f"{p} is not prime")
-        z += 1
-    m = s
-    c = pow(z, q, p)
-    t = pow(a, q, p)
-    root = pow(a, (q + 1) // 2, p)
+    m = (q & -q).bit_length() - 1
+    q >>= m
+    x = pow(a, q >> 1, p)
+    t = a * x * x % p
+    root = a * x % p
+    c = None
     while t != 1:
         i = 0
         t2 = t
         while t2 != 1:
             t2 = t2 * t2 % p
             i += 1
-            if i == m:  # mod a prime, t's order stays below 2**m
-                raise ValueError(f"no square root of {a} mod {p}")
+            if i == m:  # t's order is 2**m: a is no square (or p is composite)
+                return None
+        if c is None:
+            z = _non_residue(p)
+            if z is None:
+                return None
+            c = pow(z, q, p)
         b = pow(c, 1 << (m - i - 1), p)
         m = i
         c = b * b % p
@@ -153,20 +191,41 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     return root
 
 
+def sqrt_mod_prime(a: int, p: int) -> int:
+    """A square root of a modulo the odd prime p, by `sqrt_mod`.
+
+    a must be a square mod p; the root of 0 is 0.  A p that is not an odd
+    prime (by `check_odd_prime`) or a non-square a raises ValueError, so a
+    composite modulus is refused even where a root exists.
+
+    >>> pow(sqrt_mod_prime(10, 13), 2, 13)
+    10
+    """
+    check_odd_prime(p)
+    root = sqrt_mod(a, p)
+    if root is None:
+        raise ValueError(f"no square root of {a} mod {p}")
+    return root
+
+
 def primes_up_to(n: int) -> list[int]:
-    """The primes <= n in ascending order, by the sieve of Eratosthenes.
+    """The primes <= n in ascending order, by the sieve of Eratosthenes
+    over the odd numbers alone: entry i stands for 2i + 1.
 
     >>> primes_up_to(20)
     [2, 3, 5, 7, 11, 13, 17, 19]
     """
     if n < 2:
         return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
-    return list(itertools.compress(range(n + 1), sieve))
+    half = (n + 1) >> 1  # the odd numbers 1, 3, ... up to n
+    sieve = bytearray([1]) * half
+    sieve[0] = 0
+    for i in range(1, (isqrt(n) + 1) >> 1):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p >> 1  # the entry of p*p; p*(p + 2) is p entries on
+            sieve[start::p] = bytes(len(range(start, half, p)))
+    return [2, *itertools.compress(range(1, n + 1, 2), sieve)]
 
 
 def binary_power(mul, one, x, e: int):

@@ -91,9 +91,12 @@ def test_window_roots_match_a_brute_force_search_below_3000():
         s = classno._valid_disc(disc)
         top = classno._top_b(disc, s)
         seen = {}
-        for a, ks in classno._window_roots(disc, top):
+
+        def take(a, ks):
             assert a not in seen, (disc, a)
             seen[a] = sorted(ks)
+
+        classno._window_roots(disc, top, take)
         brute = {}
         for a in range(1, s // 2 + 1):
             ks = [k for k in range(a) if (disc - (top - 2 * k)**2) // 4 % a == 0]
@@ -107,10 +110,10 @@ def test_distance_bounds_hold_the_decimal_sum():
     # counts; the slack is far below one unit and far above the sum's error
     slack = Decimal(10) ** -6
     for disc in VALID_DISCS + CELL_DISCS:
-        lo, hi = classno._distance_bounds(disc, classno._valid_disc(disc))
+        lo, hi, bits = classno._distance_bounds(disc, classno._valid_disc(disc))
         with localcontext() as ctx:
             ctx.prec = 60
-            ref = oracles.decimal_distance_sum(disc) * _BIT
+            ref = oracles.decimal_distance_sum(disc) * (1 << bits)
             assert lo - slack <= ref <= hi + slack, disc
 
 
@@ -118,10 +121,12 @@ def test_distance_sum_walks_no_a_above_half_the_root(monkeypatch):
     walk = classno._window_roots
     seen = []
 
-    def recorded(disc, top):
-        for a, ks in walk(disc, top):
+    def recorded(disc, top, take):
+        def seen_and_taken(a, ks):
             seen.append(a)
-            yield a, ks
+            take(a, ks)
+
+        walk(disc, top, seen_and_taken)
 
     monkeypatch.setattr(classno, "_window_roots", recorded)
     for disc in DISCS + CELL_DISCS:
@@ -248,7 +253,7 @@ def test_distance_sum_rejects_a_unit_that_is_not_fundamental():
         classno.narrow_class_number(20)
 
 
-_BIT = 1 << classno._BITS  # one bit in the fixed-point log2 units
+_BIT = 1 << 64  # one bit in units of 2**-64, rescaled to the fixed point in use
 
 
 @pytest.mark.parametrize("lo_shift, hi_shift", [
@@ -259,8 +264,8 @@ _BIT = 1 << classno._BITS  # one bit in the fixed-point log2 units
 def test_distance_sum_rejects_a_log_that_is_off(monkeypatch, lo_shift, hi_shift):
     log2 = classno._log2_bound
 
-    def off(x, up):
-        return log2(x, up) + (hi_shift if up else lo_shift)
+    def off(x, up, bits):
+        return log2(x, up, bits) + ((hi_shift if up else lo_shift) << bits >> 64)
 
     monkeypatch.setattr(classno, "_log2_bound", off)
     with pytest.raises(DefectError, match="no single integer"):
@@ -271,12 +276,13 @@ _POWERS = st.integers(0, 1000).map(lambda k: 2**k)
 
 
 @given(st.one_of(st.integers(1, 2**1000), _POWERS, _POWERS.map(lambda x: x - 1 or 1),
-                 _POWERS.map(lambda x: x + 1)))
-def test_log2_bounds_hold_against_a_decimal_reference(x):
-    lo, hi = classno._log2_bound(x, False), classno._log2_bound(x, True)
+                 _POWERS.map(lambda x: x + 1)),
+       st.sampled_from([classno._MIN_BITS, 45, 64]))
+def test_log2_bounds_hold_against_a_decimal_reference(x, bits):
+    lo, hi = classno._log2_bound(x, False, bits), classno._log2_bound(x, True, bits)
     with localcontext() as ctx:
         ctx.prec = 60
-        ref = Decimal(x).ln() / Decimal(2).ln() * _BIT
+        ref = Decimal(x).ln() / Decimal(2).ln() * (1 << bits)
     slack = Decimal(10) ** -30  # far below one unit, far above 60 digits' error
     assert -slack <= ref - lo <= 6 and -slack <= hi - ref <= 6
 
@@ -290,9 +296,30 @@ def test_narrow_class_number_past_the_default_ceiling_within_budget():
     elapsed = time.perf_counter() - t0
     assert elapsed <= 1.0, f"{elapsed:.2f} s (budget 1.0 s)"
     # the one-sided product's closed-form slack stays narrow at the top of
-    # the range, where sqrt(disc) - b is smallest against the fixed point
-    lo, hi = classno._distance_bounds(13947137608, math.isqrt(13947137608))
-    assert 0 < hi - lo < _BIT >> 20
+    # the range, where sqrt(disc) - b is smallest against the fixed point;
+    # the width is in bits, whatever fixed point the counts call for
+    lo, hi, bits = classno._distance_bounds(13947137608, math.isqrt(13947137608))
+    assert 0 < hi - lo < 1 << bits - 20
+
+
+def test_narrow_class_number_at_1_3e11_past_the_old_proof(monkeypatch):
+    # cell (3, 11): 64 fixed bits were proven only up to disc 1e10; the
+    # bits that the counts call for keep the sum's interval below 2**-20
+    # bits here too.  About 0.2-0.3 s on a 2-core machine.
+    bounds = []
+    distance_bounds = classno._distance_bounds
+
+    def recorded(disc, s):
+        bounds.append(distance_bounds(disc, s))
+        return bounds[-1]
+
+    monkeypatch.setattr(classno, "_distance_bounds", recorded)
+    t0 = time.perf_counter()
+    assert classno.narrow_class_number(125524238440, ceiling=10**12) == 21560
+    elapsed = time.perf_counter() - t0
+    assert elapsed <= 3.0, f"{elapsed:.2f} s (budget 3.0 s)"
+    [(lo, hi, bits)] = bounds
+    assert 0 < hi - lo < 1 << bits - 20
 
 
 def test_narrow_class_number_at_1_5e9_holds_no_form_list():

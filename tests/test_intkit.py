@@ -242,6 +242,52 @@ def test_sqrt_mod_prime_refuses_a_composite_modulus():
         assert time.perf_counter() - start < 0.5, n
 
 
+# p - 1 = 15 * 2**9, 3 * 2**12, 5 * 2**13 and 2**16: the Tonelli-Shanks
+# loop of `sqrt_mod` runs longest there
+HIGH_TWO_POWER_PRIMES = [7681, 12289, 40961, 65537]
+
+
+def _sqrt_mod_matches_the_squares(primes):
+    for p in primes:
+        squares = {x * x % p for x in range(p)}
+        for a in range(p):
+            root = intkit.sqrt_mod(a, p)
+            if a in squares:
+                assert root is not None and root * root % p == a, (a, p)
+            else:
+                assert root is None, (a, p)
+
+
+def test_sqrt_mod_finds_every_root_and_no_false_one():
+    # every residue mod every odd prime below 3000: squares square back, and
+    # a non-square gets None from the same power, without raising
+    _sqrt_mod_matches_the_squares(
+        [p for p in sorted(PRIMES_BELOW_10K) if 2 < p < 3000] + HIGH_TWO_POWER_PRIMES)
+
+
+def test_sqrt_mod_past_the_reciprocity_table(monkeypatch):
+    # the least non-square mod p = 1 mod 8 is read off the squares mod the
+    # primes up to 97; it is the one Euler's criterion finds first
+    for p in [q for q in sorted(PRIMES_BELOW_10K) if q % 8 == 1] + HIGH_TWO_POWER_PRIMES:
+        z = intkit._non_residue(p)
+        assert z == next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1), p
+    # past the table Euler's criterion takes over, and refuses a composite
+    monkeypatch.setattr(intkit, "_SQUARES_MOD", ())
+    _sqrt_mod_matches_the_squares([q for q in sorted(PRIMES_BELOW_10K) if q % 8 == 1][:12]
+                                  + HIGH_TWO_POWER_PRIMES[:1])
+    assert intkit._non_residue(9) is None and intkit._non_residue(17 * 41) is None
+
+
+def test_sqrt_mod_gives_only_true_roots_mod_a_composite():
+    # the Tonelli-Shanks loop keeps root**2 = a*t, and the other branches
+    # square back, so an odd composite modulus yields a root or None
+    for n in range(9, 3000, 2):
+        if n not in PRIMES_BELOW_10K:
+            for a in range(min(n, 50)):
+                root = intkit.sqrt_mod(a, n)
+                assert root is None or root * root % n == a, (a, n)
+
+
 def test_wieferich_catalog():
     hits = [p for p in sorted(PRIMES_BELOW_10K) if intkit.is_wieferich(p)]
     assert hits == [1093, 3511]
