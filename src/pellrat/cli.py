@@ -18,12 +18,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from . import classno, intkit, invariants, padic, pellseq
 from .errors import IncompleteFactorization, PrecisionExhausted
@@ -52,8 +51,7 @@ class CommandError(Exception):
 _EXIT_CODES = {IncompleteFactorization: EXIT_FACTOR, PrecisionExhausted: EXIT_PRECISION}
 
 
-@dataclass(frozen=True)
-class PipelineOptions:
+class PipelineOptions(NamedTuple):
     precision_cap: int = padic.DEFAULT_PRECISION_CAP
     classno_ceiling: int = classno.DEFAULT_DISC_CEILING
 
@@ -141,7 +139,7 @@ class FactorCache:
 # scan records
 
 
-FIELD_NAMES = tuple(f.name for f in fields(ScanRecord))
+FIELD_NAMES = ScanRecord._fields
 
 # columns rendered as arbitrary-precision decimal strings in JSON
 _BIG_FIELDS = {"N", "b", "D", "disc", "class_number", "an_prediction"}
@@ -211,6 +209,8 @@ def render_csv(records: list[ScanRecord], meta: str | None = None) -> str:
 
 
 def render_json(records: list[ScanRecord]) -> str:
+    import json  # only --format json needs it; every start pays for a top-level import
+
     return json.dumps([record_to_json_obj(rec) for rec in records], indent=2) + "\n"
 
 
@@ -292,6 +292,13 @@ def _parse_r_range(text: str) -> list[int]:
 M_BOUND_MAX = 10**6
 
 
+# `gseq pair n` refuses |n| above this.  G_n has about 0.383 * |n| decimal
+# digits, and computing and printing the pair grows faster than n: with
+# Python 3.11 on a 2-core machine, n = 10**6 takes about 2.4 s and
+# n = 3 * 10**6 about 40 s
+PAIR_N_MAX = 10**6
+
+
 def _m_values(policy: str | int, p: int, r: int) -> Iterator[int]:
     # "one", "bound" or a parsed m; lazily, so that no list of
     # floor(m_bound) values is ever built
@@ -364,6 +371,8 @@ def cmd_field(args):
     cache = FactorCache(args.cache, args.factor_effort)
     rec = compute_record(args.p, args.r, args.m, opts, cache, strict=True)
     if args.format == "json":
+        import json  # as in render_json
+
         text = json.dumps(record_to_json_obj(rec), indent=2) + "\n"
     elif args.format == "csv":
         text = render_csv([rec])
@@ -417,6 +426,8 @@ def cmd_scan(args):
 
 def cmd_gseq(args):
     if args.gseq_command == "pair":
+        if abs(args.n) > PAIR_N_MAX:
+            raise CommandError(f"|n| must be <= {PAIR_N_MAX}, got {args.n}")
         pair = pellseq.pell_pair(args.n)
         print(f"G={pair.g} F={pair.f}")
     elif args.gseq_command == "gcd":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import IncompleteFactorization
 
@@ -296,8 +296,7 @@ def perfect_power(n: int):
     return (x, d) if d >= 2 else None
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Outcome of a budgeted factorization.
 
     ``factors`` lists (prime, exponent) pairs sorted by prime; each listed

@@ -15,7 +15,7 @@ renders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import classno, intkit, padic
 from .errors import DefectError, DiscriminantTooLarge, PrecisionExhausted
@@ -82,14 +82,12 @@ def _n1_route(ctx: FieldContext) -> str:
 # torsion ledger
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     label: str
     value: int
 
 
-@dataclass(frozen=True)
-class CoatesLedger:
+class CoatesLedger(NamedTuple):
     """Valuation bookkeeping for the p-part of the torsion group.
 
     Entries are certified lower bounds on individual valuations; their sum
@@ -143,8 +141,7 @@ def _ledger(p: int, h: int | None, unit_congruence: bool) -> CoatesLedger:
 # one family field: its context and its row
 
 
-@dataclass(frozen=True)
-class FieldContext:
+class FieldContext(NamedTuple):
     """The per-field quantities both verdicts read, each computed once.
 
     ``unit_congruence`` says whether eps**(p-1) = 1 mod p**2 in O_K.
@@ -177,7 +174,7 @@ def field_context(fam: FamilyField,
     of leaving ``n2`` or ``gen_order`` empty.  A resolved ``n2`` is checked
     against ``unit_congruence``, and DefectError is raised if they disagree.
     A caller that knows the class number sets it with
-    ``dataclasses.replace(ctx, class_number=h, h_missing=None)``.
+    ``ctx._replace(class_number=h, h_missing=None)``.
     """
     eps = fundamental_unit(fam.field)
     # the defect gate inside the bound lives in the check itself
@@ -218,45 +215,66 @@ def field_context(fam: FamilyField,
         class_number=h, h_missing=h_missing)
 
 
-@dataclass(frozen=True, kw_only=True)
-class ScanRecord:
-    """One table row; the defaults are the values of a row without a field.
-
-    A mu-lambda-zero row must carry the certificate chain (n1 certified,
-    p not dividing h) and the prediction p**(n2 - 1), and any other row no
-    prediction; construction raises DefectError otherwise.
-    """
-
+class _Row(NamedTuple):
+    # the columns of a table row, in output order
     p: int
     r: int
     m: int
     N: int
-    b: int | None = None
-    D: int | None = None
-    disc: int | None = None
-    unit: tuple[int, int, int] | None = None  # (u, v, den)
-    unit_norm: int | None = None
-    t_is_fundamental: bool | None = None
-    splits: bool | None = None
-    n2: int | None = None
-    n1_is_one: str = N1_UNKNOWN
-    class_number: int | None = None
-    h_val_p: int | None = None
+    b: int | None
+    D: int | None
+    disc: int | None
+    unit: tuple[int, int, int] | None  # (u, v, den)
+    unit_norm: int | None
+    t_is_fundamental: bool | None
+    splits: bool | None
+    n2: int | None
+    n1_is_one: str
+    class_number: int | None
+    h_val_p: int | None
     wieferich: bool
     m_bound_ok: bool
-    p_rational: str = INCONCLUSIVE
-    greenberg: str = INCONCLUSIVE
-    an_prediction: int | None = None
+    p_rational: str
+    greenberg: str
+    an_prediction: int | None
     notes: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.greenberg == MU_LAMBDA_ZERO:
-            if self.n1_is_one != N1_CERTIFIED or self.h_val_p != 0:
+
+class ScanRecord(_Row):
+    """One table row, built from keywords only; the defaults are the
+    values of a row without a field.
+
+    A mu-lambda-zero row must carry the certificate chain (n1 certified,
+    p not dividing h) and the prediction p**(n2 - 1), and any other row no
+    prediction; construction raises DefectError otherwise, and so does
+    ``_replace``, which builds its row through the same checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *, p, r, m, N, b=None, D=None, disc=None, unit=None,
+                unit_norm=None, t_is_fundamental=None, splits=None, n2=None,
+                n1_is_one=N1_UNKNOWN, class_number=None, h_val_p=None, wieferich,
+                m_bound_ok, p_rational=INCONCLUSIVE, greenberg=INCONCLUSIVE,
+                an_prediction=None, notes):
+        if greenberg == MU_LAMBDA_ZERO:
+            if n1_is_one != N1_CERTIFIED or h_val_p != 0:
                 raise DefectError("mu-lambda-zero without the certificate chain")
-            if self.n2 is None or self.an_prediction != self.p ** (self.n2 - 1):
+            if n2 is None or an_prediction != p ** (n2 - 1):
                 raise DefectError("prediction must be p**(n2 - 1)")
-        elif self.an_prediction is not None:
+        elif an_prediction is not None:
             raise DefectError("prediction present without a verdict")
+        return super().__new__(cls, p, r, m, N, b, D, disc, unit, unit_norm,
+                               t_is_fundamental, splits, n2, n1_is_one, class_number,
+                               h_val_p, wieferich, m_bound_ok, p_rational, greenberg,
+                               an_prediction, notes)
+
+    def _replace(self, **changes) -> ScanRecord:
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __getnewargs_ex__(self):
+        # pickle and copy rebuild the row by keyword, through the checks
+        return (), self._asdict()
 
 
 def null_record(p: int, r: int, m: int) -> ScanRecord:

@@ -13,7 +13,7 @@ and cross-validate each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import intkit
 from .errors import DefectError, NoEmbedding, PrecisionExhausted
@@ -48,8 +48,7 @@ def hensel_sqrt(d: int, p: int, k: int) -> int:
     return min(s, p**k - s)
 
 
-@dataclass(frozen=True)
-class SplitPrimeEmbedding:
+class SplitPrimeEmbedding(NamedTuple):
     """Residue embedding O_K -> Z/p**k along one prime above split p."""
 
     p: int

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import intkit
 from .errors import DefectError
 
 
-@dataclass(frozen=True)
-class PellPair:
+class PellPair(NamedTuple):
     n: int
     g: int
     f: int

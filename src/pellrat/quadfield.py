@@ -12,44 +12,50 @@ and its exact coefficient bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import intkit
 from .errors import DefectError, IncompleteFactorization, NotAUnit
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class QuadraticField:
+
+class _Radicand(NamedTuple):
+    d: int
+
+
+class QuadraticField(_Radicand):
     """Q(sqrt(d)) for squarefree d >= 2.
 
     Squarefreeness is the caller's responsibility (certifying it requires a
     factorization); obvious violations are rejected cheaply.
     """
 
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 2:
+    def __new__(cls, d: int):
+        if d < 2:
             raise ValueError("field requires squarefree d >= 2")
         for sq in (4, 9, 25, 49, 121):
-            if self.d % sq == 0:
-                raise ValueError(f"d = {self.d} is divisible by {sq}, not squarefree")
-        r = math.isqrt(self.d)
-        if r * r == self.d:
-            raise ValueError(f"d = {self.d} is a perfect square")
+            if d % sq == 0:
+                raise ValueError(f"d = {d} is divisible by {sq}, not squarefree")
+        r = math.isqrt(d)
+        if r * r == d:
+            raise ValueError(f"d = {d} is a perfect square")
+        return super().__new__(cls, d)
 
     @property
     def disc(self) -> int:
         return self.d if self.d % 4 == 1 else 4 * self.d
 
 
-@dataclass(frozen=True)
-class QuadInt:
+class QuadInt(NamedTuple):
     """(u + v*sqrt(d))/den in the ring of integers of ``field``.
 
     Construct through :func:`element`, which canonicalizes; direct
-    construction skips the parity checks.
+    construction skips the parity checks.  ``+`` and ``*`` are ring
+    arithmetic, never tuple concatenation or repetition.
     """
 
     u: int
@@ -245,8 +251,7 @@ def unit_index(t: QuadInt, eps: QuadInt) -> tuple[int, int]:
 # the field family with radicand m**2 * p**(2r) + 1
 
 
-@dataclass(frozen=True)
-class FamilyField:
+class FamilyField(NamedTuple):
     """Q(sqrt(d)) built from N = m**2 * p**(2r) + 1 = b**2 * d.
 
     ``t`` is the distinguished norm -1 unit m*p**r + b*sqrt(d).
@@ -278,6 +283,8 @@ def m_bound(p: int, r: int) -> Fraction:
 
     (1 + binomial(q, 2)) * p**(q - r) / 2**q with q = p**(r-1).
     """
+    from fractions import Fraction  # no CLI path needs the exact value
+
     coeff, q = _m_bound_terms(p, r)
     return Fraction(coeff * p ** (q - r), 2**q)
 

@@ -99,6 +99,7 @@ REFUSALS = (
     (("gseq", "search", "--p", "9", "--max", "10"), 1,
      "error: p must be an odd prime, got 9\n"),
     (("gseq", "gcd", "0", "1"), 1, "error: gcd arguments must be >= 1\n"),
+    (("gseq", "pair", "1000001"), 1, "error: |n| must be <= 1000000, got 1000001\n"),
     ((*FIELD, "--m", "2", "--factor-effort", "0"), 2,
      "error: factorization of 325 incomplete within budget\n"),
     ((*FIELD, "--precision-cap", "1"), 3,
@@ -279,6 +280,33 @@ def test_short_output_to_a_closed_stdout_is_an_io_failure():
         os.close(write_end)
     assert proc.returncode == cli.EXIT_IO
     assert proc.stderr == b"error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+def test_gseq_pair_cap_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "PAIR_N_MAX", 5)
+    for n in ("5", "-5"):
+        assert run(capsys, "gseq", "pair", n)[0] == cli.EXIT_OK
+    for n in ("6", "-6"):
+        assert run(capsys, "gseq", "pair", n) == (cli.EXIT_USAGE, "",
+                                                  f"error: |n| must be <= 5, got {n}\n")
+
+
+# what a CLI start must not load: dataclasses brings inspect, ast, dis and
+# tokenize; only quadfield.m_bound needs fractions (and with it decimal); and
+# only --format json needs json
+NOT_AT_START = ("dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal",
+                "json")
+
+
+def test_cli_start_loads_no_heavy_modules():
+    code = ("import sys; before = set(sys.modules); from pellrat import cli; "
+            "cli.build_parser(); print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "pellrat.cli" in loaded
+    assert [name for name in NOT_AT_START if name in loaded] == []
 
 
 def test_scan_m_bound_cap_is_inclusive(capsys, monkeypatch):

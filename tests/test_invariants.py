@@ -1,5 +1,6 @@
+import copy
 import csv
-from dataclasses import replace
+import pickle
 
 import pytest
 from hypothesis import given
@@ -203,7 +204,7 @@ def test_greenberg_ceiling_is_inconclusive_not_wrong():
 def test_greenberg_injected_h():
     # verdict branches on the injected class number without computing one
     ctx = invariants.field_context(fam(3, 2), classno_ceiling=0, strict=True)
-    res = invariants.build_report(replace(ctx, class_number=3, h_missing=None))
+    res = invariants.build_report(ctx._replace(class_number=3, h_missing=None))
     assert res.greenberg == invariants.INCONCLUSIVE
     assert inconclusive_reason(res) == "p divides class number"
 
@@ -235,14 +236,27 @@ def test_row_defect_guards():
     assert row.n2 == 2
     assert row.an_prediction == 3
     with pytest.raises(DefectError, match="prediction must be"):
-        replace(row, an_prediction=9)
+        row._replace(an_prediction=9)
     with pytest.raises(DefectError, match="certificate chain"):
-        replace(row, h_val_p=1)
+        row._replace(h_val_p=1)
     with pytest.raises(DefectError, match="prediction present without a verdict"):
-        replace(row, greenberg=invariants.INCONCLUSIVE)
+        row._replace(greenberg=invariants.INCONCLUSIVE)
     # a row without a field carries no verdict and passes every gate
     null = invariants.null_record(3, 2, 1)
     assert (null.greenberg, null.an_prediction, null.D) == (invariants.INCONCLUSIVE, None, None)
+
+
+def test_scan_record_takes_keywords_only():
+    null = invariants.null_record(3, 2, 1)
+    with pytest.raises(TypeError):
+        invariants.ScanRecord(*null)
+    required = {"p": 3, "r": 2, "m": 1, "N": 82, "wieferich": False, "m_bound_ok": True,
+                "notes": ()}
+    assert invariants.ScanRecord(**required) == null._replace(notes=())
+    assert pickle.loads(pickle.dumps(null)) == copy.copy(null) == null
+    for name in ("wieferich", "m_bound_ok", "notes"):
+        with pytest.raises(TypeError):
+            invariants.ScanRecord(**{k: v for k, v in required.items() if k != name})
 
 
 def test_build_report_strict_precision():
@@ -300,17 +314,17 @@ def test_build_report_gates_on_the_context():
     ctx = invariants.field_context(fam(3, 2))
     assert ctx.unit_congruence and ctx.gen_order == 1 and ctx.m_bound_ok
     with pytest.raises(DefectError):
-        invariants.build_report(replace(ctx, unit_congruence=False))
-    report = invariants.build_report(replace(ctx, unit_congruence=False, m_bound_ok=False))
+        invariants.build_report(ctx._replace(unit_congruence=False))
+    report = invariants.build_report(ctx._replace(unit_congruence=False, m_bound_ok=False))
     assert report.p_rational == invariants.INCONCLUSIVE
 
     for gen_order, n1 in [(2, invariants.N1_REFUTED), (None, invariants.N1_UNKNOWN)]:
-        report = invariants.build_report(replace(ctx, gen_order=gen_order))
+        report = invariants.build_report(ctx._replace(gen_order=gen_order))
         assert (report.n1_is_one, report.greenberg) == (n1, invariants.INCONCLUSIVE)
         assert report.an_prediction is None
         assert report.notes == (f"greenberg inconclusive: n1 certificate {n1}",)
 
-    report = invariants.build_report(replace(ctx, class_number=12))
+    report = invariants.build_report(ctx._replace(class_number=12))
     assert (report.h_val_p, inconclusive_reason(report)) == (1, "p divides class number")
     assert report.greenberg == invariants.INCONCLUSIVE
 

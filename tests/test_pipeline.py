@@ -9,14 +9,13 @@ import contextlib
 import math
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from oracles import slow_pell
 
-from pellrat import classno, cli, invariants, padic, pellseq
+from pellrat import classno, cli, intkit, invariants, padic, pellseq
 from pellrat import quadfield as qf
 from pellrat.errors import DefectError, IncompleteFactorization
 
@@ -103,7 +102,7 @@ def test_wrappers_compute_no_class_number(monkeypatch):
     report = invariants.build_report(invariants.field_context(fam, classno_ceiling=0))
     assert report.p_rational == invariants.NON_P_RATIONAL
     ctx = invariants.field_context(fam, classno_ceiling=0, strict=True)
-    report = invariants.build_report(replace(ctx, class_number=4, h_missing=None))
+    report = invariants.build_report(ctx._replace(class_number=4, h_missing=None))
     assert (report.greenberg, report.an_prediction) == (invariants.MU_LAMBDA_ZERO, 3)
     assert invariants.n2_of(fam) == 2
     assert invariants.n1_certificate(fam, 4) == invariants.N1_CERTIFIED
@@ -137,6 +136,21 @@ def test_n2_is_checked_against_the_quotient_ring_route(monkeypatch):
     monkeypatch.setattr(padic, "unit_congruence_order", lambda *args: 1)
     with pytest.raises(DefectError, match="is True but n2 = 1 at"):
         invariants.field_context(qf.construct_family(3, 2, 4))
+
+
+def test_records_are_immutable():
+    fam = qf.construct_family(3, 2)
+    ctx = invariants.field_context(fam)
+    ledger = invariants.coates_ledger(fam.field, 3)
+    records = (intkit.factor(82), fam.field, fam.t, fam, padic.family_embedding(fam),
+               pellseq.pell_pair(5), ledger.entries[0], ledger, ctx,
+               invariants.build_report(ctx), cli.PipelineOptions())
+    for rec in records:
+        first = rec._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(rec, first, 0)
+        with pytest.raises(AttributeError):
+            rec.extra = 0
 
 
 @pytest.mark.parametrize("p", [1, 2, 9, 15])

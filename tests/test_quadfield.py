@@ -29,7 +29,7 @@ def elements(draw, d_pool=SQUAREFREE):
 
 
 def test_field_rejects_bad_radicands():
-    for d in (0, 1, 4, 9, 12, 18, 25, 49, 50):
+    for d in (0, 1, 4, 8, 9, 12, 18, 25, 49, 50):
         with pytest.raises(ValueError):
             field(d)
     for d in (2, 3, 5, 82, 2362):
@@ -54,6 +54,15 @@ def test_element_canonicalization():
         qf.element(field(2), 1, 1, 2)
     with pytest.raises(ValueError):
         qf.element(f, 1, 2, 2)
+
+
+def test_int_operands_are_ring_arithmetic():
+    # a QuadInt is a tuple, whose own + and * would concatenate and repeat
+    f = field(82)
+    eps = qf.fundamental_unit(f)
+    doubled = (2 * eps, eps * 2, eps + eps)
+    assert all(type(x) is qf.QuadInt for x in doubled)
+    assert doubled == (qf.element(f, 18, 2),) * 3
 
 
 def test_mul_requires_same_field():
