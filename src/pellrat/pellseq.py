@@ -16,7 +16,6 @@ n2 = r check exempts.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from typing import NamedTuple
 
 from . import intkit
@@ -45,19 +44,16 @@ def pell_pair(n: int) -> PellPair:
     return PellPair(n=n, g=g, f=f)
 
 
-def g_values(n_max: int) -> Iterator[int]:
-    """G_0 .. G_{n_max} one at a time, by the two-term recurrence."""
-    g0, g1 = 1, 1
-    for _ in range(n_max + 1):
-        yield g0
-        g0, g1 = g1, 2 * g1 + g0
-
-
 def g_sequence(n_max: int) -> list[int]:
     """G_0 .. G_{n_max} by the two-term recurrence (one addition per step)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return list(g_values(n_max))
+    out = []
+    g0, g1 = 1, 1
+    for _ in range(n_max + 1):
+        out.append(g0)
+        g0, g1 = g1, 2 * g1 + g0
+    return out
 
 
 def g_gcd(l: int, m: int) -> int:
@@ -73,27 +69,52 @@ def g_gcd(l: int, m: int) -> int:
     return 1
 
 
+def _least_index_divisible(p: int, limit: int) -> int | None:
+    """The least n in 0..limit with p | G_n, or None: G walked mod p."""
+    g0, g1 = 1, 1
+    for n in range(limit + 1):
+        if g0 == 0:
+            return n
+        g0, g1 = g1, (2 * g1 + g0) % p
+    return None
+
+
 def prime_power_search(p: int, n_max: int) -> list[tuple[int, int]]:
     """All (n, e) with 0 <= n <= n_max, G_n == p**e and e >= 2.
 
-    G is streamed, never held whole, and one power p**e is walked beside
-    it: before each G_n is compared, the power is multiplied by p while it
-    is below G_n.  G never decreases (1, 1, 3, 7, ...), so the power is
-    always the least power of p at or above G_n and none is skipped; the
-    equality G_n == p**e is the certificate of a hit.  More than one hit
-    contradicts the uniqueness result for p-power values, so that raises
-    DefectError.
+    At most one index can hit.  It is found by a walk of G mod p of at
+    most min(n_max, (p + 1)//2) + 1 word-sized steps and one exact G_n,
+    for any n_max.
+
+    Write 2G_n = V_n(2, -1) and F_n = U_n(2, -1), the Lucas sequences of
+    x**2 - 2x - 1.  Let w be the rank of apparition of p in F, the least
+    n >= 1 with p | F_n; w divides p - (2/p), so w <= p + 1 (Lucas 1878).
+
+    - p | G_n exactly when w is even and n is an odd multiple of
+      n0 = w/2.  For F_2n = 2 F_n G_n and G_n**2 - 2 F_n**2 = +-1, so
+      p | G_n means that w divides 2n but not n; and if w is even and n
+      an odd multiple of w/2, then p | F_2n while p does not divide F_n.
+      So n0 is the least n with p | G_n, and n0 <= (p + 1)/2.
+    - For odd j, v_p(G_{j n0}) = v_p(G_n0) + v_p(j) (Carmichael, Annals
+      of Math. 15, 1913; the lifting-the-exponent lemma).
+    - n0 is the only candidate.  A hit at n = j n0 with odd j >= 3 would
+      need G_n = p**(v_p(G_n0) + v_p(j)) <= j G_n0.  But G_{k+1} >= 2 G_k
+      for k >= 1, so G_n >= 2**(j - 1) G_n0 > j G_n0.
+
+    So the search walks G mod p for n <= min(n_max, (p + 1)//2), stops at
+    the first n with G_n = 0 mod p, and tests the exact G_n from
+    `pell_pair`: a hit when it is p**e with e >= 2.  The equality is the
+    certificate.  An exact G_n that p does not divide means the walk and
+    the ring power disagree, which raises DefectError.
     """
     intkit.check_odd_prime(p)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    hits: list[tuple[int, int]] = []
-    power, e = 1, 0
-    for n, g in enumerate(g_values(n_max)):
-        while power < g:
-            power, e = power * p, e + 1
-        if power == g and e >= 2:
-            hits.append((n, e))
-    if len(hits) >= 2:
-        raise DefectError(f"multiple pure {p}-power values in G: {hits}")
-    return hits
+    n0 = _least_index_divisible(p, min(n_max, (p + 1) // 2))
+    if n0 is None:
+        return []
+    g = pell_pair(n0).g
+    if g % p:
+        raise DefectError(f"G_{n0} mod {p} walks to 0, but {p} does not divide G_{n0}")
+    e = intkit.valuation(g, p)
+    return [(n0, e)] if e >= 2 and g == p**e else []

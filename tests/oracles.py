@@ -11,6 +11,7 @@ Functions that need `pellrat` import it inside their bodies, so that
 importing this file stays light.
 """
 
+import functools
 import math
 
 
@@ -386,8 +387,13 @@ def fib_unit_equivalence(t, p: int) -> bool:
 # Pell numbers, directly from the recurrence
 
 
+@functools.lru_cache(maxsize=8)
 def slow_pell(n: int) -> tuple[int, int]:
-    """(G_n, F_n) for any integer n via the linear recurrence x' = 2x + x''."""
+    """(G_n, F_n) for any integer n via the linear recurrence x' = 2x + x''.
+
+    Memoized: a checker that compares every pass's `gseq pair n` with this
+    value walks the recurrence once per n, not once per pass.
+    """
     if n >= 0:
         g0, f0 = 1, 0  # n = 0
         g1, f1 = 1, 1  # n = 1
@@ -419,6 +425,24 @@ def slow_prime_power_hits(p: int, n_max: int) -> list[tuple[int, int]]:
             hits.append((n, e))
         g0, g1 = g1, 2 * g1 + g0
     return hits
+
+
+def slow_least_g_multiple(p: int) -> int | None:
+    """The least n >= 0 with p | G_n, or None if there is none.
+
+    G is streamed exactly from the recurrence.  The pair (G_n, G_(n+1)) mod
+    p moves by an invertible map, so it is periodic from (1, 1); a period
+    that passes no multiple of p shows that no G_n is one.
+    """
+    g0, g1 = 1, 1
+    n = 0
+    while True:
+        if g0 % p == 0:
+            return n
+        g0, g1 = g1, 2 * g1 + g0
+        n += 1
+        if (g0 % p, g1 % p) == (1, 1):
+            return None
 
 
 def addition_identity_check(l: int, m: int) -> bool:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -382,6 +383,15 @@ def test_gseq_outputs(capsys):
     assert (code, out.strip()) == (0, "3")
     code, out, _ = run(capsys, "gseq", "search", "--p", "3", "--max", "2000")
     assert (code, out.strip()) == (0, "no solutions")
+
+
+def test_gseq_search_to_a_billion_is_quick(capsys):
+    # the search walks at most (p + 1)/2 residues whatever --max is
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "gseq", "search", "--p", "3", "--max", "1000000000")
+    elapsed = time.perf_counter() - t0
+    assert (code, out, err) == (0, "no solutions\n", "")
+    assert elapsed < 1, elapsed
 
 
 def test_gseq_validation(capsys):

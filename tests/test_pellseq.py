@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import (addition_identity_check, g_gcd_oracle, pair_reduce, slow_pell,
-                     slow_prime_power_hits)
+from oracles import (addition_identity_check, g_gcd_oracle, pair_reduce, slow_least_g_multiple,
+                     slow_pell, slow_prime_power_hits)
 
 from pellrat import pellseq
 from pellrat.errors import DefectError
@@ -88,11 +88,52 @@ def test_prime_power_search_empty_for_small_primes():
         assert pellseq.prime_power_search(p, 500) == []
 
 
+ODD_PRIMES_BELOW_400 = [p for p in range(3, 400, 2) if all(p % q for q in range(3, p, 2))]
+
+
+def test_least_index_divisible_matches_streaming():
+    # n0 = w/2 <= (p + 1)/2, so the walk's range holds every first multiple
+    for p in ODD_PRIMES_BELOW_400:
+        assert pellseq._least_index_divisible(p, (p + 1) // 2) == slow_least_g_multiple(p), p
+
+
 def test_prime_power_search_matches_division_oracle():
-    # the walked power against repeated division, every odd prime below 200
-    for p in range(3, 200, 2):
-        if all(p % q for q in range(3, p, 2)):
-            assert pellseq.prime_power_search(p, 3000) == slow_prime_power_hits(p, 3000)
+    # the one-candidate route against repeated division of every streamed G_n
+    for p in ODD_PRIMES_BELOW_400:
+        n0 = slow_least_g_multiple(p)
+        ns = {0, 1, 5000} if n0 is None else {0, 1, n0 - 1, n0, 5000}
+        for n_max in sorted(ns):
+            assert pellseq.prime_power_search(p, n_max) == \
+                slow_prime_power_hits(p, n_max), (p, n_max)
+
+
+def test_no_multiple_of_p_when_its_rank_is_odd():
+    # w, the least n >= 1 with p | F_n, streamed from the recurrence
+    odd_rank = []
+    for p in ODD_PRIMES_BELOW_400:
+        f0, f1, w = 0, 1, 1
+        while f1 % p:
+            f0, f1, w = f1, 2 * f1 + f0, w + 1
+        if w % 2:
+            odd_rank.append(p)
+            assert slow_least_g_multiple(p) is None, p
+            assert pellseq._least_index_divisible(p, 2 * p + 2) is None, p
+            assert pellseq.prime_power_search(p, 10**9) == [], p
+    assert 5 in odd_rank
+
+
+def test_prime_power_search_walks_at_most_n_max_steps(monkeypatch):
+    # n0 = 500002 for p = 1000003: the walk must stop at n_max, not at n0
+    limits = []
+    walk = pellseq._least_index_divisible
+
+    def counted(p, limit):
+        limits.append(limit)
+        return walk(p, limit)
+
+    monkeypatch.setattr(pellseq, "_least_index_divisible", counted)
+    assert pellseq.prime_power_search(1000003, 20000) == []
+    assert limits == [20000]
 
 
 def test_prime_power_search_validates():
@@ -104,35 +145,33 @@ def test_prime_power_search_validates():
         pellseq.prime_power_search(3, -1)
 
 
+def plant_g(monkeypatch, g):
+    # the exact G_n the search reads at p = 3, whose walk stops at n0 = 2
+    def planted_pair(n):
+        assert n == 2
+        return pellseq.PellPair(n=n, g=g, f=0)
+
+    monkeypatch.setattr(pellseq, "pell_pair", planted_pair)
+
+
 def test_prime_power_search_finds_planted_hit(monkeypatch):
-    # a synthetic sequence with exactly one prime power: checks that the
-    # scan actually certifies hits instead of hard-coding emptiness
-    fake = [1, 1, 3, 7, 27, 41]
-
-    def fake_sequence(n_max):
-        return fake[: n_max + 1]
-
-    monkeypatch.setattr(pellseq, "g_values", fake_sequence)
-    assert pellseq.prime_power_search(3, 5) == [(4, 3)]
+    # a planted pure power at n0: checks that the search certifies hits
+    # instead of hard-coding emptiness
+    plant_g(monkeypatch, 27)
+    assert pellseq.prime_power_search(3, 5) == [(2, 3)]
 
 
 def test_prime_power_search_finds_planted_square(monkeypatch):
-    # the smallest exponent that counts: G_3 = 3**2, after G_2 = 3**1
-    fake = [1, 1, 3, 9, 17, 41]
-
-    def fake_sequence(n_max):
-        return fake[: n_max + 1]
-
-    monkeypatch.setattr(pellseq, "g_values", fake_sequence)
-    assert pellseq.prime_power_search(3, 5) == [(3, 2)]
+    # the smallest exponent that counts; 3 * 7 is divisible but no power
+    plant_g(monkeypatch, 9)
+    assert pellseq.prime_power_search(3, 5) == [(2, 2)]
+    plant_g(monkeypatch, 21)
+    assert pellseq.prime_power_search(3, 5) == []
 
 
 def test_prime_power_search_two_hits_is_a_defect(monkeypatch):
-    fake = [1, 1, 3, 9, 27, 41]
-
-    def fake_sequence(n_max):
-        return fake[: n_max + 1]
-
-    monkeypatch.setattr(pellseq, "g_values", fake_sequence)
+    # the walk mod 3 stops at n = 2, so an exact G_2 that 3 does not divide
+    # means the two computations disagree
+    plant_g(monkeypatch, 41)
     with pytest.raises(DefectError):
         pellseq.prime_power_search(3, 5)
