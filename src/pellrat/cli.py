@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -208,10 +209,13 @@ def render_csv(records: list[ScanRecord], meta: str | None = None) -> str:
     return buf.getvalue()
 
 
-def render_json(records: list[ScanRecord]) -> str:
+def render_json(rows: ScanRecord | list[ScanRecord]) -> str:
+    """One record as a JSON object, a list of them as an array."""
     import json  # only --format json needs it; every start pays for a top-level import
 
-    return json.dumps([record_to_json_obj(rec) for rec in records], indent=2) + "\n"
+    obj = (record_to_json_obj(rows) if isinstance(rows, ScanRecord)
+           else [record_to_json_obj(rec) for rec in rows])
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def render_human(rec: ScanRecord) -> str:
@@ -256,9 +260,16 @@ def _checked(fn, *args):
         raise CommandError(str(exc))
 
 
+def _strict_int(text: str) -> int:
+    # int() strips whitespace, which the CSV's '#' line would echo as is
+    if text.split() != [text]:
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_p_list(text: str) -> list[int]:
     try:
-        ps = [int(tok) for tok in text.split(",") if tok]
+        ps = [_strict_int(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise CommandError(f"bad --p list: {text!r}")
     if not ps:
@@ -272,12 +283,12 @@ def _parse_r_range(text: str) -> list[int]:
     if ".." in text:
         lo_s, _, hi_s = text.partition("..")
         try:
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = _strict_int(lo_s), _strict_int(hi_s)
         except ValueError:
             raise CommandError(f"bad --r range: {text!r}")
     else:
         try:
-            lo = hi = int(text)
+            lo = hi = _strict_int(text)
         except ValueError:
             raise CommandError(f"bad --r value: {text!r}")
     if lo < 2 or hi < lo:
@@ -292,10 +303,10 @@ def _parse_r_range(text: str) -> list[int]:
 M_BOUND_MAX = 10**6
 
 
-# `gseq pair n` refuses |n| above this.  G_n has about 0.383 * |n| decimal
-# digits, and computing and printing the pair grows faster than n: with
-# Python 3.11 on a 2-core machine, n = 10**6 takes about 2.4 s and
-# n = 3 * 10**6 about 40 s
+# `gseq pair n` refuses |n| above this, and `gseq gcd` an answer G_n with n
+# above it.  G_n has about 0.383 * |n| decimal digits, and computing and
+# printing the pair grows faster than n: with Python 3.11 on a 2-core
+# machine, n = 10**6 takes about 2.4 s and n = 3 * 10**6 about 40 s
 PAIR_N_MAX = 10**6
 
 
@@ -310,6 +321,7 @@ def _m_values(policy: str | int, p: int, r: int) -> Iterator[int]:
         yield policy
 
 
+@functools.cache  # one parser per process: `entrypoint` may run many commands
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pellrat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -371,9 +383,7 @@ def cmd_field(args):
     cache = FactorCache(args.cache, args.factor_effort)
     rec = compute_record(args.p, args.r, args.m, opts, cache, strict=True)
     if args.format == "json":
-        import json  # as in render_json
-
-        text = json.dumps(record_to_json_obj(rec), indent=2) + "\n"
+        text = render_json(rec)
     elif args.format == "csv":
         text = render_csv([rec])
     else:
@@ -387,7 +397,7 @@ def cmd_scan(args):
     policy = m_arg = args.m
     if policy not in ("one", "bound"):
         try:
-            m_arg = int(policy)
+            m_arg = _strict_int(policy)
         except ValueError:
             raise CommandError(f"--m must be 'one', 'bound', or an integer, got {policy!r}")
         if m_arg < 1:
@@ -431,7 +441,10 @@ def cmd_gseq(args):
         pair = pellseq.pell_pair(args.n)
         print(f"G={pair.g} F={pair.f}")
     elif args.gseq_command == "gcd":
-        print(_checked(pellseq.g_gcd, args.l, args.m))
+        g = _checked(pellseq.g_gcd_index, args.l, args.m)
+        if g > PAIR_N_MAX:
+            raise CommandError(f"the answer is G_{g}; its index must be <= {PAIR_N_MAX}")
+        print(pellseq.pell_pair(g).g)
     else:
         if args.n_max < 1:  # the search itself accepts 0
             raise CommandError(f"--max must be >= 1, got {args.n_max}")

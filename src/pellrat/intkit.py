@@ -191,23 +191,6 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return root
 
 
-def sqrt_mod_prime(a: int, p: int) -> int:
-    """A square root of a modulo the odd prime p, by `sqrt_mod`.
-
-    a must be a square mod p; the root of 0 is 0.  A p that is not an odd
-    prime (by `check_odd_prime`) or a non-square a raises ValueError, so a
-    composite modulus is refused even where a root exists.
-
-    >>> pow(sqrt_mod_prime(10, 13), 2, 13)
-    10
-    """
-    check_odd_prime(p)
-    root = sqrt_mod(a, p)
-    if root is None:
-        raise ValueError(f"no square root of {a} mod {p}")
-    return root
-
-
 def primes_up_to(n: int) -> list[int]:
     """The primes <= n in ascending order, by the sieve of Eratosthenes
     over the odd numbers alone: entry i stands for 2i + 1.

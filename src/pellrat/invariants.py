@@ -45,15 +45,14 @@ def epsilon_congruence_check(fam: FamilyField, eps: QuadInt) -> bool:
     return ok
 
 
-def n2_of(fam: FamilyField, cap: int = padic.DEFAULT_PRECISION_CAP) -> int:
+def n2_of(fam: FamilyField) -> int:
     """Residue order of the fundamental unit: v(eps**(p-1) - 1) at the
     family prime.  For m = 1 and d != 2 this must equal r."""
     # a ceiling of 0 refuses the class number before any work on it
-    return field_context(fam, classno_ceiling=0, cap=cap, strict=True).n2
+    return field_context(fam, classno_ceiling=0, strict=True).n2
 
 
-def n1_certificate(fam: FamilyField, h: int,
-                   cap: int = padic.DEFAULT_PRECISION_CAP) -> str:
+def n1_certificate(fam: FamilyField, h: int) -> str:
     """Tri-state certificate that the generator residue order n1 equals 1.
 
     certified: p does not divide h, the unit congruence holds, and
@@ -68,7 +67,7 @@ def n1_certificate(fam: FamilyField, h: int,
         raise ValueError("class number must be >= 1")
     if h % fam.p == 0:
         return N1_UNKNOWN
-    return _n1_route(field_context(fam, classno_ceiling=0, cap=cap, strict=True))
+    return _n1_route(field_context(fam, classno_ceiling=0, strict=True))
 
 
 def _n1_route(ctx: FieldContext) -> str:
@@ -121,17 +120,19 @@ def coates_ledger(field: QuadraticField, p: int, h: int | None = None,
         raise DefectError("split prime divides the discriminant")
     if eps is None:
         eps = fundamental_unit(field)
-    return _ledger(p, h, padic.power_is_one_mod(eps, p - 1, p * p))
+    h_val = intkit.valuation(h, p) if h else None
+    return _ledger(p, h_val, padic.power_is_one_mod(eps, p - 1, p * p))
 
 
-def _ledger(p: int, h: int | None, unit_congruence: bool) -> CoatesLedger:
+def _ledger(p: int, h_val: int | None, unit_congruence: bool) -> CoatesLedger:
+    # h_val is v_p(h), or None when h is unknown
     regulator = 2 if unit_congruence else 1
-    h_val = intkit.valuation(h, p) if h else 0
     entries = (
         LedgerEntry("roots of unity", 1),
         LedgerEntry("split Euler factors", -2),
         LedgerEntry("p-adic regulator lower bound", regulator),
-        LedgerEntry("class number" if h else "class number (unknown, conservative)", h_val),
+        LedgerEntry("class number (unknown, conservative)", 0) if h_val is None
+        else LedgerEntry("class number", h_val),
         LedgerEntry("discriminant", 0),
     )
     return CoatesLedger(p=p, entries=entries)
@@ -300,7 +301,7 @@ def build_report(ctx: FieldContext) -> ScanRecord:
     wief = intkit.is_wieferich(p)
     h_val = intkit.valuation(h, p) if h is not None else None
 
-    ledger = _ledger(p, h, ctx.unit_congruence)
+    ledger = _ledger(p, h_val, ctx.unit_congruence)
     p_rational = NON_P_RATIONAL if ledger.torsion_lower_bound >= 1 else INCONCLUSIVE
     if p_rational != NON_P_RATIONAL and ctx.m_bound_ok:
         raise DefectError(

@@ -41,9 +41,9 @@ def hensel_sqrt(d: int, p: int, k: int) -> int:
     intkit.check_odd_prime(p)
     if k < 1:
         raise ValueError("precision k must be >= 1")
-    if d % p == 0 or intkit.jacobi(d % p, p) != 1:
+    s = intkit.sqrt_mod(d, p)
+    if not s:  # None: d is no square mod p; 0: p divides d
         raise NoEmbedding(f"{d} is not an invertible square mod {p}")
-    s = intkit.sqrt_mod_prime(d, p)
     s = _lift_sqrt(s, d, p, 1, k)
     return min(s, p**k - s)
 
@@ -66,17 +66,16 @@ def split_embedding(field: QuadraticField, p: int, k: int) -> SplitPrimeEmbeddin
     return SplitPrimeEmbedding(p=p, k=k, s=hensel_sqrt(field.d, p, k), field=field)
 
 
-def family_embedding(fam: FamilyField, k: int | None = None) -> SplitPrimeEmbedding:
+def family_embedding(fam: FamilyField, k: int) -> SplitPrimeEmbedding:
     """Embedding normalized for the field family.
 
     The root is s = 1/b mod p**min(k, 2r), lifted to p**k; along it
     b*sqrt(d) - 1 generates the full p**2r part, which pins the prime the
     invariants are measured against.  b**2 * d = N = 1 mod p**2r makes 1/b
     a square root of d there, and the lift stays on it, so the
-    normalization picks the same prime at every precision.
+    normalization picks the same prime at every precision.  The working
+    precision k is `invariants.field_context`'s to choose.
     """
-    if k is None:
-        k = max(8, 2 * fam.r + 2)
     if k < 1:
         raise ValueError("precision k must be >= 1")
     p, j = fam.p, min(k, 2 * fam.r)

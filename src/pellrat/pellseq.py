@@ -56,17 +56,18 @@ def g_sequence(n_max: int) -> list[int]:
     return out
 
 
-def g_gcd(l: int, m: int) -> int:
-    """gcd(G_l, G_m) in closed form.
-
-    Equals G_{gcd(l, m)} when l and m have the same 2-adic valuation and 1
-    otherwise.
+def g_gcd_index(l: int, m: int) -> int:
+    """The g with gcd(G_l, G_m) = G_g, in closed form: gcd(l, m) when l
+    and m have the same 2-adic valuation, and otherwise 1 (G_1 = 1).
     """
     if l < 1 or m < 1:
         raise ValueError("gcd arguments must be >= 1")
-    if intkit.valuation(l, 2) == intkit.valuation(m, 2):
-        return pell_pair(math.gcd(l, m)).g
-    return 1
+    return math.gcd(l, m) if intkit.valuation(l, 2) == intkit.valuation(m, 2) else 1
+
+
+def g_gcd(l: int, m: int) -> int:
+    """gcd(G_l, G_m) = G_g with g from `g_gcd_index`."""
+    return pell_pair(g_gcd_index(l, m)).g
 
 
 def _least_index_divisible(p: int, limit: int) -> int | None:

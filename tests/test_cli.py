@@ -88,6 +88,12 @@ REFUSALS = (
     (("scan", "--p", "3", "--r", "3..2"), 1,
      "error: --r range must satisfy 2 <= a <= b, got '3..2'\n"),
     (("scan", "--p", "3", "--r", "x"), 1, "error: bad --r value: 'x'\n"),
+    # int() would strip the whitespace, and the CSV's '#' line would echo it
+    (("scan", "--p", "3\n", "--r", "2"), 1, "error: bad --p list: '3\\n'\n"),
+    (("scan", "--p", "3, 5", "--r", "2"), 1, "error: bad --p list: '3, 5'\n"),
+    (("scan", "--p", "3", "--r", "2\n"), 1, "error: bad --r value: '2\\n'\n"),
+    (("scan", "--p", "3", "--r", "2.. 3"), 1, "error: bad --r range: '2.. 3'\n"),
+    ((*SCAN, "--m", " 2"), 1, "error: --m must be 'one', 'bound', or an integer, got ' 2'\n"),
     ((*SCAN, "--m", "0"), 1, "error: --m must be >= 1, got 0\n"),
     ((*SCAN, "--m", "x"), 1,
      "error: --m must be 'one', 'bound', or an integer, got 'x'\n"),
@@ -101,6 +107,8 @@ REFUSALS = (
      "error: p must be an odd prime, got 9\n"),
     (("gseq", "gcd", "0", "1"), 1, "error: gcd arguments must be >= 1\n"),
     (("gseq", "pair", "1000001"), 1, "error: |n| must be <= 1000000, got 1000001\n"),
+    (("gseq", "gcd", "3000000", "3000000"), 1,
+     "error: the answer is G_3000000; its index must be <= 1000000\n"),
     ((*FIELD, "--m", "2", "--factor-effort", "0"), 2,
      "error: factorization of 325 incomplete within budget\n"),
     ((*FIELD, "--precision-cap", "1"), 3,
@@ -290,6 +298,38 @@ def test_gseq_pair_cap_is_inclusive(capsys, monkeypatch):
     for n in ("6", "-6"):
         assert run(capsys, "gseq", "pair", n) == (cli.EXIT_USAGE, "",
                                                   f"error: |n| must be <= 5, got {n}\n")
+
+
+def test_gseq_gcd_cap_is_inclusive(capsys, monkeypatch):
+    # gcd(2**21, 3 * 2**20) = 2**20 is past the cap, but the 2-adic
+    # valuations differ: the answer is 1, at once
+    t0 = time.perf_counter()
+    assert run(capsys, "gseq", "gcd", "2097152", "3145728") == (cli.EXIT_OK, "1\n", "")
+    assert time.perf_counter() - t0 < 1
+    monkeypatch.setattr(cli, "PAIR_N_MAX", 5)
+    assert run(capsys, "gseq", "gcd", "5", "15") == (cli.EXIT_OK, "41\n", "")
+    assert run(capsys, "gseq", "gcd", "6", "18") == (
+        cli.EXIT_USAGE, "", "error: the answer is G_6; its index must be <= 5\n")
+
+
+# a parse error, a refusal and two answers
+ONE_PROCESS = (("field", "--p", "x"), ("scan", "--p", "9", "--r", "2"),
+               ("field", "--p", "3", "--r", "2"), ("gseq", "pair", "5"))
+
+
+def test_commands_in_one_process_print_what_fresh_processes_print(capsys, monkeypatch):
+    # the parser is built once per process: no command may leave state in it
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(child_env(), COLUMNS="80")
+    want = {}
+    for argv in ONE_PROCESS:
+        proc = subprocess.run([sys.executable, "-m", "pellrat.cli", *argv], capture_output=True,
+                              text=True, timeout=60, env=env)
+        want[argv] = (proc.returncode, proc.stdout, proc.stderr)
+    assert want[ONE_PROCESS[0]][0] == want[ONE_PROCESS[1]][0] == cli.EXIT_USAGE
+    for order in (ONE_PROCESS, ONE_PROCESS[::-1]):
+        assert {argv: run(capsys, *argv) for argv in order} == want, order
+    assert cli.build_parser() is cli.build_parser()
 
 
 # what a CLI start must not load: dataclasses brings inspect, ast, dis and

@@ -200,45 +200,45 @@ def test_primes_up_to_matches_sieve():
     assert [intkit.primes_up_to(n) for n in range(4)] == [[], [], [2], [2, 3]]
 
 
-def test_sqrt_mod_prime_finds_every_root():
+def test_sqrt_mod_reduces_a_and_reaches_large_primes():
     # p = 5 mod 8 (5, 13, 29, ...) takes Atkin's root, and p = 1 mod 8
     # (17, 41, 73, 97, 113) runs the Tonelli-Shanks loop itself
     for p in sorted(PRIMES_BELOW_10K)[1:40]:
         for a in range(p):
             if a == 0 or pow(a, (p - 1) // 2, p) == 1:
-                assert pow(intkit.sqrt_mod_prime(a + 5 * p, p), 2, p) == a, (a, p)
+                assert pow(intkit.sqrt_mod(a + 5 * p, p), 2, p) == a, (a, p)
     big = [1000000021, 1000000000061, 2305843009213693973,
            1000000000000000000000000000469]  # p = 5 mod 8
     for p in [q for q in sorted(PRIMES_BELOW_10K) if q % 8 == 5] + big:
         for x in range(1, 40):
             a = x * x % p
-            assert pow(intkit.sqrt_mod_prime(a, p), 2, p) == a, (a, p)
+            assert pow(intkit.sqrt_mod(a, p), 2, p) == a, (a, p)
 
 
-def test_sqrt_mod_prime_gives_no_false_root_mod_a_composite():
+def test_sqrt_mod_misses_some_squares_mod_a_composite():
     # n = 5 mod 8 takes Atkin's root, checked by squaring back: each a gets
-    # a true root or ValueError, and so do squares the formula misses
+    # a true root or None, and so do squares the formula misses
     for n in (21, 45, 85):
         squares = {x * x % n for x in range(n)}
         refused = set()
         for a in range(n):
-            try:
-                root = intkit.sqrt_mod_prime(a, n)
-            except ValueError:
+            root = intkit.sqrt_mod(a, n)
+            if root is None:
                 refused.add(a)
             else:
                 assert root * root % n == a, (a, n)
         assert refused & squares, n
 
 
-def test_sqrt_mod_prime_refuses_a_composite_modulus():
-    # 9, 25 and 121 meet a z whose Euler power z**((n - 1)/2) is neither 1
-    # nor -1; Atkin's root of 4 mod 21 (7) and the n = 3 mod 4 shortcut's
+def test_sqrt_mod_answers_a_composite_modulus_at_once():
+    # a = 1 starts the Tonelli-Shanks loop of 9 and 25 at t = 1, so the true
+    # root 1 comes back; 4 mod 121 leaves a t of order 2**m, as a non-square
+    # would; Atkin's root of 4 mod 21 (7) and the n = 3 mod 4 shortcut's
     # root of 2 mod 15 (and of the non-square 3 mod 7) do not square back
-    for a, n in ((1, 9), (1, 25), (4, 121), (4, 21), (2, 15), (3, 7)):
+    for a, n, want in ((1, 9, 1), (1, 25, 1), (4, 121, None), (4, 21, None), (2, 15, None),
+                       (3, 7, None)):
         start = time.perf_counter()
-        with pytest.raises(ValueError):
-            intkit.sqrt_mod_prime(a, n)
+        assert intkit.sqrt_mod(a, n) == want, (a, n)
         assert time.perf_counter() - start < 0.5, n
 
 

@@ -119,12 +119,14 @@ def test_coates_ledger_family_case():
     ledger = invariants.coates_ledger(f.field, 3, h=4)
     assert ledger.values() == [1, -2, 2, 0, 0]
     assert ledger.torsion_lower_bound == 1
+    assert ledger.entries[3].label == "class number"
 
 
 def test_coates_ledger_conservative_without_h():
     f = fam(3, 2)
     ledger = invariants.coates_ledger(f.field, 3)
     assert ledger.values() == [1, -2, 2, 0, 0]
+    assert ledger.entries[3].label == "class number (unknown, conservative)"
 
 
 def test_coates_ledger_h_contribution():

@@ -33,6 +33,13 @@ def test_hensel_sqrt_rejects_non_residues():
         padic.hensel_sqrt(21, 7, 2)  # 7 divides 21: ramified, not split
 
 
+def test_hensel_sqrt_refuses_a_composite_p():
+    # sqrt_mod finds the root 1 of 1 mod 9 and mod 25; the prime check comes first
+    for d, n in ((1, 9), (1, 25), (4, 21)):
+        with pytest.raises(ValueError, match=f"^p must be an odd prime, got {n}$"):
+            padic.hensel_sqrt(d, n, 2)
+
+
 @given(st.sampled_from(split_pairs()), st.integers(min_value=1, max_value=10))
 def test_branches_are_complementary(pair, k):
     d, p = pair
@@ -79,7 +86,7 @@ def test_embed_handles_half_integers():
 def test_family_embedding_normalization():
     for (p, r, m) in [(3, 2, 1), (3, 3, 1), (5, 2, 1), (7, 2, 1), (3, 2, 2)]:
         fam = qf.construct_family(p, r, m)
-        emb = padic.family_embedding(fam)
+        emb = padic.family_embedding(fam, 8)
         mod = p ** min(emb.k, 2 * r)
         assert fam.b * emb.s % mod == 1 % mod
         # the other root p**k - s is -1/b: the other prime above p
@@ -109,7 +116,7 @@ def test_family_valuations_of_t_generators():
     # the other prime's valuation of x is the family prime's of conj(x)
     for (p, r, m) in [(3, 2, 1), (3, 3, 1), (5, 2, 1), (7, 2, 1), (3, 2, 2)]:
         fam = qf.construct_family(p, r, m)
-        emb = padic.family_embedding(fam)
+        emb = padic.family_embedding(fam, 8)
         minus = qf.element(fam.field, -1, fam.b)
         plus = qf.element(fam.field, 1, fam.b)
         assert padic.pvaluation(minus, emb) == 2 * r
@@ -120,7 +127,7 @@ def test_family_valuations_of_t_generators():
 
 def test_pvaluation_of_rational_prime():
     fam = qf.construct_family(3, 2, 1)
-    emb = padic.family_embedding(fam)
+    emb = padic.family_embedding(fam, 8)
     assert padic.pvaluation(qf.element(fam.field, 3, 0), emb) == 1
     assert padic.pvaluation(qf.element(fam.field, 9, 0), emb) == 2
     assert padic.pvaluation(qf.element(fam.field, 5, 0), emb) == 0
@@ -128,7 +135,7 @@ def test_pvaluation_of_rational_prime():
 
 def test_pvaluation_rejects_zero():
     fam = qf.construct_family(3, 2, 1)
-    emb = padic.family_embedding(fam)
+    emb = padic.family_embedding(fam, 8)
     with pytest.raises(ValueError):
         padic.pvaluation(qf.element(fam.field, 0, 0), emb)
 
@@ -155,14 +162,14 @@ def test_congruence_order_raises_at_cap():
 
 def test_congruence_order_requires_invertible():
     fam = qf.construct_family(3, 2, 1)
-    emb = padic.family_embedding(fam)
+    emb = padic.family_embedding(fam, 8)
     with pytest.raises(ValueError):
         padic.congruence_order(qf.element(fam.field, 3, 0), emb)
 
 
 def test_unit_congruence_order_requires_unit():
     fam = qf.construct_family(3, 2, 1)
-    emb = padic.family_embedding(fam)
+    emb = padic.family_embedding(fam, 8)
     with pytest.raises(ValueError):
         padic.unit_congruence_order(qf.element(fam.field, 5, 0), emb)
 
@@ -171,7 +178,7 @@ def test_unit_congruence_order_known_values():
     # first family points, orders computed from the residues directly
     for (p, r), want in {(3, 2): 2, (3, 3): 3, (5, 2): 2, (7, 2): 2}.items():
         fam = qf.construct_family(p, r, 1)
-        emb = padic.family_embedding(fam)
+        emb = padic.family_embedding(fam, 8)
         eps = qf.fundamental_unit(fam.field)
         assert padic.unit_congruence_order(eps, emb) == want
 

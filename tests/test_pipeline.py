@@ -79,9 +79,9 @@ def test_field_context_holds_the_field_quantities(monkeypatch):
     precisions = []
     embedding = padic.family_embedding
 
-    def recorded(fam, k=None, **kwargs):
+    def recorded(fam, k):
         precisions.append(k)
-        return embedding(fam, k, **kwargs)
+        return embedding(fam, k)
 
     monkeypatch.setattr(padic, "family_embedding", recorded)
     ctx = invariants.field_context(fam)
@@ -142,7 +142,7 @@ def test_records_are_immutable():
     fam = qf.construct_family(3, 2)
     ctx = invariants.field_context(fam)
     ledger = invariants.coates_ledger(fam.field, 3)
-    records = (intkit.factor(82), fam.field, fam.t, fam, padic.family_embedding(fam),
+    records = (intkit.factor(82), fam.field, fam.t, fam, padic.family_embedding(fam, 8),
                pellseq.pell_pair(5), ledger.entries[0], ledger, ctx,
                invariants.build_report(ctx), cli.PipelineOptions())
     for rec in records:
