@@ -279,7 +279,7 @@ def _parse_p_list(text: str) -> list[int]:
     return sorted(set(ps))
 
 
-def _parse_r_range(text: str) -> list[int]:
+def _parse_r_range(text: str) -> range:
     if ".." in text:
         lo_s, _, hi_s = text.partition("..")
         try:
@@ -293,10 +293,14 @@ def _parse_r_range(text: str) -> list[int]:
             raise CommandError(f"bad --r value: {text!r}")
     if lo < 2 or hi < lo:
         raise CommandError(f"--r range must satisfy 2 <= a <= b, got {text!r}")
-    return list(range(lo, hi + 1))
+    rs = range(lo, hi + 1)
+    if len(rs) > M_BOUND_MAX:
+        raise CommandError(f"--r range must hold <= {M_BOUND_MAX} values, got {len(rs)}")
+    return rs
 
 
-# `scan --m bound` refuses a cell whose floor(m_bound) is above this: that
+# The most rows `scan` takes along one axis.  `--r` refuses a range of more
+# values, and `--m bound` a cell whose floor(m_bound) is above it: that
 # admits (3, 4), whose floor(m_bound) is 246,900 and which prints 164,600
 # rows, but not (5, 3) with about 1.7e10 rows, and `--m N` still reaches
 # any single m

@@ -17,17 +17,41 @@ from .errors import IncompleteFactorization
 
 isqrt = math.isqrt
 
-# Strong-pseudoprime bases making the test deterministic below 3.317e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-
 # Trial division inside factor() scans this far before handing the cofactor
 # to rho; on a rho miss it resumes scanning up to the caller's bound.
 _FAST_TRIAL_BOUND = 10_000
 
 DEFAULT_FACTOR_EFFORT = 10**6
+
+
+def primes_up_to(n: int) -> list[int]:
+    """The primes <= n in ascending order, by the sieve of Eratosthenes
+    over the odd numbers alone: entry i stands for 2i + 1.
+
+    >>> primes_up_to(20)
+    [2, 3, 5, 7, 11, 13, 17, 19]
+    """
+    if n < 2:
+        return []
+    half = (n + 1) >> 1  # the odd numbers 1, 3, ... up to n
+    sieve = bytearray([1]) * half
+    sieve[0] = 0
+    for i in range(1, (isqrt(n) + 1) >> 1):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p >> 1  # the entry of p*p; p*(p + 2) is p entries on
+            sieve[start::p] = bytes(len(range(start, half, p)))
+    return [2, *itertools.compress(range(1, n + 1, 2), sieve)]
+
+
+# The primes below _FAST_TRIAL_BOUND, sieved once: factor() divides by them,
+# and every other small prime here is a prefix of them.
+_TRIAL_PRIMES = primes_up_to(_FAST_TRIAL_BOUND)
+
+_SMALL_PRIMES = _TRIAL_PRIMES[:25]  # the primes to 97
+
+# Strong-pseudoprime bases making the test deterministic below 3.317e24.
+_MR_BASES = _TRIAL_PRIMES[:12]  # the primes to 37
 
 
 def is_prime(n: int) -> bool:
@@ -191,26 +215,6 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return root
 
 
-def primes_up_to(n: int) -> list[int]:
-    """The primes <= n in ascending order, by the sieve of Eratosthenes
-    over the odd numbers alone: entry i stands for 2i + 1.
-
-    >>> primes_up_to(20)
-    [2, 3, 5, 7, 11, 13, 17, 19]
-    """
-    if n < 2:
-        return []
-    half = (n + 1) >> 1  # the odd numbers 1, 3, ... up to n
-    sieve = bytearray([1]) * half
-    sieve[0] = 0
-    for i in range(1, (isqrt(n) + 1) >> 1):
-        if sieve[i]:
-            p = 2 * i + 1
-            start = p * p >> 1  # the entry of p*p; p*(p + 2) is p entries on
-            sieve[start::p] = bytes(len(range(start, half, p)))
-    return [2, *itertools.compress(range(1, n + 1, 2), sieve)]
-
-
 def binary_power(mul, one, x, e: int):
     """x**e for an int e >= 0 by square-and-multiply, where ``mul`` is the
     product and ``one`` its identity; e = 0 gives ``one`` itself.
@@ -336,7 +340,7 @@ def _brent_rho(n: int, budget: int):
 
 
 def _trial_scan(n: int, lo: int, hi: int):
-    # resume classic trial division over the 6k+-1 wheel in (lo, hi]
+    # resume trial division past _TRIAL_PRIMES over the 6k+-1 wheel in (lo, hi]
     hi = min(hi, isqrt(n))
     q = lo - lo % 6 + 5
     while q <= hi:
@@ -364,15 +368,10 @@ def factor(n: int, effort: int = DEFAULT_FACTOR_EFFORT) -> Factorization:
         raise ValueError("effort must be >= 0")
     counts: dict[int, int] = {}
     rem = n
-    for p in (2, 3):
-        if p > effort:
-            break
-        while rem % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            rem //= p
     fast_bound = min(effort, _FAST_TRIAL_BOUND)
-    q = 3
-    while (q := _trial_scan(rem, q, fast_bound)) is not None:
+    for q in _TRIAL_PRIMES:
+        if q > fast_bound or q * q > rem:
+            break
         while rem % q == 0:
             counts[q] = counts.get(q, 0) + 1
             rem //= q
@@ -381,13 +380,8 @@ def factor(n: int, effort: int = DEFAULT_FACTOR_EFFORT) -> Factorization:
     stack = [rem] if rem > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
-        if m <= fast_bound * fast_bound:
-            # no factor up to fast_bound survived the scan above, so m is prime
-            counts[m] = counts.get(m, 0) + 1
-            continue
-        if is_prime(m):
+        # no factor up to fast_bound survived the scan above, so a small m is prime
+        if m <= fast_bound * fast_bound or is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
         pp = perfect_power(m)

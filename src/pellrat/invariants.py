@@ -209,6 +209,11 @@ def field_context(fam: FamilyField,
         h = classno.class_number(fam.field, classno_ceiling, eps=eps)
     except DiscriminantTooLarge:
         h_missing = "class number ceiling"
+    # at m = 1, b = 1 the prime P above p with P**(2r) = (sqrt(N) - 1) has
+    # class order exactly 2r, and h = h+ as N(eps) = -1 (ROADMAP item 13)
+    if fam.m == 1 and fam.b == 1 and h is not None and h % (2 * fam.r):
+        raise DefectError(f"class number {h} is not a multiple of 2r = {2 * fam.r} "
+                          f"at (p={fam.p}, r={fam.r}, m=1)")
     return FieldContext(
         family=fam, eps=eps, unit_norm=qi_norm(eps), t_is_fundamental=fam.t == eps,
         m_bound_ok=m_bound_satisfied(fam.p, fam.r, fam.m),

@@ -238,6 +238,26 @@ def rho_reduce(f: tuple[int, int, int]) -> tuple[int, int, int]:
     return c, b_next, (b_next * b_next - disc) // (4 * c)
 
 
+def in_principal_cycle(f: tuple[int, int, int]) -> bool:
+    """Whether f reduces, by `rho_reduce` steps, onto a cycle that holds a
+    form (+-1, b, c).
+
+    For a discriminant with a unit of norm -1 the principal cycle holds
+    both (1, b, c) and (-1, b, c), so this tells whether f's class is the
+    principal one.
+    """
+    a, b, c = f
+    disc = b * b - 4 * a * c
+    while not _is_reduced(*f, disc):
+        f = rho_reduce(f)
+    start = f
+    while abs(f[0]) != 1:
+        f = rho_reduce(f)
+        if f == start:
+            return False
+    return True
+
+
 def walk_narrow_class_number(disc: int) -> int:
     """Number of rho-cycles of `classno.reduced_forms(disc)`, by walking them.
 

@@ -88,6 +88,8 @@ REFUSALS = (
     (("scan", "--p", "3", "--r", "3..2"), 1,
      "error: --r range must satisfy 2 <= a <= b, got '3..2'\n"),
     (("scan", "--p", "3", "--r", "x"), 1, "error: bad --r value: 'x'\n"),
+    (("scan", "--p", "3", "--r", "2..1000000000"), 1,
+     "error: --r range must hold <= 1000000 values, got 999999999\n"),
     # int() would strip the whitespace, and the CSV's '#' line would echo it
     (("scan", "--p", "3\n", "--r", "2"), 1, "error: bad --p list: '3\\n'\n"),
     (("scan", "--p", "3, 5", "--r", "2"), 1, "error: bad --p list: '3, 5'\n"),
@@ -298,6 +300,17 @@ def test_gseq_pair_cap_is_inclusive(capsys, monkeypatch):
     for n in ("6", "-6"):
         assert run(capsys, "gseq", "pair", n) == (cli.EXIT_USAGE, "",
                                                   f"error: |n| must be <= 5, got {n}\n")
+
+
+def test_scan_r_range_cap_is_inclusive(capsys, monkeypatch):
+    # refused before any row, with no list of the range built
+    t0 = time.perf_counter()
+    assert run(capsys, "scan", "--p", "3", "--r", "2..1000000000")[0] == cli.EXIT_USAGE
+    assert time.perf_counter() - t0 < 1
+    monkeypatch.setattr(cli, "M_BOUND_MAX", 2)
+    assert run(capsys, "scan", "--p", "3", "--r", "2..3")[0] == cli.EXIT_OK
+    assert run(capsys, "scan", "--p", "3", "--r", "2..4") == (
+        cli.EXIT_USAGE, "", "error: --r range must hold <= 2 values, got 3\n")
 
 
 def test_gseq_gcd_cap_is_inclusive(capsys, monkeypatch):

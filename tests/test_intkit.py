@@ -152,6 +152,26 @@ def test_factor_small_effort_invariants():
             assert f.complete == (f.cofactor == 1), (n, effort)
 
 
+# 9973 is the last prime of the trial table and 10007 the first past it:
+# these reach both stops of the trial loop (a prime past the effort or the
+# table, and q * q > rem) and the small-cofactor shortcut at its boundary;
+# without rho only the trial loop and the resumed scan can split a cofactor
+@pytest.mark.parametrize("n", [9973**2, 10007**2, 9973 * 10007, 2**3 * 9973 * 10007,
+                               9973**2 * 10007, 2**40 * 3])
+@pytest.mark.parametrize("effort", [9972, 9973, 10**4, 10006, 10007, 20_000, 10**6])
+@pytest.mark.parametrize("rho", [True, False])
+def test_factor_at_the_trial_table_edges(monkeypatch, n, effort, rho):
+    if not rho:
+        monkeypatch.setattr(intkit, "_brent_rho", lambda n, budget: None)
+    f = intkit.factor(n, effort)
+    assert f.value == n == math.prod(p**e for p, e in f.factors) * f.cofactor
+    assert f.complete == (f.cofactor == 1)
+    if f.complete:
+        assert dict(f.factors) == trial_factor(n)
+    else:
+        assert all(intkit.is_prime(p) for p, _ in f.factors)
+
+
 def test_factor_trial_fallback_after_a_rho_miss(monkeypatch):
     # 10007 lies past the fast scan's 10**4, so only the resumed scan finds it
     monkeypatch.setattr(intkit, "_brent_rho", lambda n, budget: None)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import fib_unit_equivalence, gen_fib, inconclusive_reason, lemma_n1_congruence
+from oracles import (fib_unit_equivalence, gen_fib, in_principal_cycle, inconclusive_reason,
+                     lemma_n1_congruence)
 
 from pellrat import classno, cli, invariants, padic
 from pellrat import quadfield as qf
@@ -329,6 +330,27 @@ def test_build_report_gates_on_the_context():
     report = invariants.build_report(ctx._replace(class_number=12))
     assert (report.h_val_p, inconclusive_reason(report)) == (1, "p divides class number")
     assert report.greenberg == invariants.INCONCLUSIVE
+
+
+def test_class_number_guard_needs_2r_at_b_one(monkeypatch):
+    # (3, 4): N = 6562 is squarefree; (3, 5): N = 59050 = 2 * 5**2 * 1181
+    monkeypatch.setattr(classno, "class_number", lambda field, ceiling, eps=None: 7)
+    assert (fam(3, 4).b, fam(3, 5).b) == (1, 5)
+    with pytest.raises(DefectError, match="not a multiple of 2r = 8"):
+        invariants.field_context(fam(3, 4))
+    assert invariants.field_context(fam(3, 5)).class_number == 7
+
+
+def test_prime_above_p_has_class_order_2r():
+    # the form (p**k, 2, -p**(2r - k)) is the class of the k-th power of a
+    # prime above p; it must first be principal at k = 2r
+    cells = [(p, r) for p in (3, 5, 7, 11, 13) for r in (2, 3, 4)]
+    b_one = [cell for cell in cells if fam(*cell).b == 1]
+    assert sorted(set(cells) - set(b_one)) == [(7, 3)]
+    for p, r in b_one:
+        principal = [k for k in range(1, 2 * r + 1)
+                     if in_principal_cycle((p**k, 2, -p ** (2 * r - k)))]
+        assert principal == [2 * r], (p, r)
 
 
 def test_generator_order_resolves_wherever_n2_does():
